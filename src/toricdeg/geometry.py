@@ -4,17 +4,19 @@ H-polytopes carry primitive integer facet normals and rational right hand
 sides; V-polytopes and lattice point sets are canonically sorted tuples.  All
 predicates run in exact arithmetic, there is no floating point anywhere.
 
-Vertex enumeration is exhaustive over n-subsets of halfspaces and lattice
-point enumeration scans the bounding box; both are documented desk-scale
-choices (dimension <= 8, tens of facets).
+Both representation conversions (vertex enumeration H->V and convex hull
+V->H) and the boundedness test run on one integer double-description kernel,
+`_extreme_rays`.  Lattice point enumeration scans the bounding box; it is a
+documented desk-scale choice (dimension <= 8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -36,6 +38,61 @@ def is_integral_vec(v):
     return all(Fraction(x).denominator == 1 for x in v)
 
 
+def _combine(p, u, q, v):
+    """The nonzero integer vector p*u + q*v divided by the gcd of its entries."""
+    w = [p * x + q * y for x, y in zip(u, v)]
+    g = gcd(*w)
+    return tuple(x // g for x in w)
+
+
+def _extreme_rays(rows, D):
+    """Extreme rays of the cone {y in Q^D : <a, y> >= 0 for every row a}.
+
+    Double description method (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996).  The cone starts as all of Q^D, a lineality
+    space spanned by e_1..e_D, and takes the rows one at a time.  A row that
+    cuts the lineality space turns one lineality vector into a ray and
+    projects the rest onto its hyperplane; any other row keeps the rays on
+    its nonnegative side and combines each adjacent pair it separates
+    (combinatorial zero-set test).  Rows are scaled by their denominator
+    lcm, so all arithmetic is on integers.  Returns primitive integer rays,
+    or None when the rows have rank < D (the cone is not pointed).
+    """
+    lin = [tuple(int(i == j) for j in range(D)) for i in range(D)]
+    rays = []                       # (ray, bitmask of the rows it is tight on)
+    done = 0                        # bitmask of the rows added so far
+    for i, a in enumerate(rows):
+        den = lcm(*(x.denominator for x in a))
+        a = [x.numerator * (den // x.denominator) for x in a]
+        bit = 1 << i
+        cut = [sum(map(mul, a, l)) for l in lin]
+        k = next((k for k, v in enumerate(cut) if v), None)
+        if k is not None:
+            l, s = lin.pop(k), cut.pop(k)
+            l, s = (l, s) if s > 0 else (tuple(-x for x in l), -s)
+            lin = [_combine(s, m, -v, l) for m, v in zip(lin, cut)]
+            rays = [(_combine(s, r, -sum(map(mul, a, r)), l), z | bit) for r, z in rays]
+            rays.append((l, done))
+        else:
+            vals = [sum(map(mul, a, r)) for r, _ in rays]
+            nxt = [(r, z | bit if v == 0 else z) for (r, z), v in zip(rays, vals) if v >= 0]
+            pos = [k for k, v in enumerate(vals) if v > 0]
+            neg = [k for k, v in enumerate(vals) if v < 0]
+            least = D - len(lin) - 2    # tight rows shared by adjacent rays
+            for kp in pos:
+                for kn in neg:
+                    common = rays[kp][1] & rays[kn][1]
+                    if common.bit_count() < least or any(
+                            z & common == common for k, (_, z) in enumerate(rays)
+                            if k != kp and k != kn):
+                        continue
+                    nxt.append((_combine(vals[kp], rays[kn][0], -vals[kn], rays[kp][0]),
+                                common | bit))
+            rays = nxt
+        done |= bit
+    return None if lin else [r for r, _ in rays]
+
+
 @dataclass(frozen=True)
 class HalfSpace:
     """Inequality <p, normal> <= rhs with a primitive integer normal."""
@@ -46,9 +103,8 @@ class HalfSpace:
     @staticmethod
     def make(coeffs, rhs):
         normal = linalg.primitive_int_vector(coeffs)
-        scale = Fraction(coeffs[next(i for i, c in enumerate(coeffs) if c != 0)],
-                         normal[next(i for i, c in enumerate(coeffs) if c != 0)])
-        return HalfSpace(normal, Fraction(rhs) / scale)
+        i = next(i for i, c in enumerate(normal) if c)
+        return HalfSpace(normal, Fraction(rhs) * normal[i] / Fraction(coeffs[i]))
 
     def value(self, point):
         return sum(a * b for a, b in zip(self.normal, point))
@@ -79,6 +135,7 @@ class LatticePointSet:
 
     dim: int
     points: tuple
+    _set: frozenset = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(dim, points):
@@ -97,10 +154,13 @@ class LatticePointSet:
         return len(self.points)
 
     def __contains__(self, p):
-        return tuple(p) in set(self.points)
+        return tuple(p) in self.as_set()
 
     def as_set(self):
-        return set(self.points)
+        """The points as a frozenset, built on first use and then cached."""
+        if self._set is None:
+            object.__setattr__(self, "_set", frozenset(self.points))
+        return self._set
 
 
 def minkowski_sum(a: LatticePointSet, b: LatticePointSet) -> LatticePointSet:
@@ -139,20 +199,22 @@ class HPolytope:
         half = [HalfSpace.make(tuple(r[:-1]), r[-1]) for r in rows]
         return HPolytope(dim, half)
 
+    def _key(self):
+        """The vertex set when there is one, else the halfspaces.  Equal
+        polytopes share it even when redundant rows set them apart."""
+        try:
+            return self.vertex_set()
+        except (UnboundedError, EmptyPolytopeError):
+            return self.halfspaces
+
     def __eq__(self, other):
         if not isinstance(other, HPolytope):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self.halfspaces == other.halfspaces:
-            return True
-        try:
-            return self.vertex_set() == other.vertex_set()
-        except (UnboundedError, EmptyPolytopeError):
-            return False
+        return self.dim == other.dim and (self.halfspaces == other.halfspaces
+                                          or self._key() == other._key())
 
     def __hash__(self):
-        return hash((self.dim, self.halfspaces))
+        return hash((self.dim, self._key()))
 
     def __repr__(self):
         return f"HPolytope(dim={self.dim}, facets={len(self.halfspaces)})"
@@ -165,57 +227,35 @@ class HPolytope:
     def is_bounded(self):
         """True when the recession cone of the inequality system is trivial."""
         if self._bounded is None:
-            object.__setattr__(self, "_bounded", self._recession_trivial())
+            self._ray_vertices()
         return self._bounded
 
-    def _recession_trivial(self):
-        normals = [h.normal for h in self.halfspaces]
-        if linalg.mat_rank(normals) < self.dim:
-            return False
-        # A pointed cone is nontrivial iff it has an extreme ray cut out by
-        # n-1 independent normals.
-        for subset in combinations(normals, self.dim - 1):
-            if self.dim == 1:
-                basis = [(Fraction(1),)]
-            else:
-                if linalg.mat_rank(subset) != self.dim - 1:
-                    continue
-                basis = linalg.nullspace(subset)
-                if len(basis) != 1:
-                    continue
-            d = basis[0]
-            for ray in (d, tuple(-x for x in d)):
-                if all(sum(a * b for a, b in zip(n, ray)) <= 0 for n in normals):
-                    return False
-        return True
+    def _ray_vertices(self):
+        """Vertices from the extreme rays of {(x, t) : <a, x> <= b t, t >= 0}.
 
-    def _vertex_candidates(self):
-        seen = set()
+        Rays with t > 0 are the vertices and rays with t = 0 span the
+        recession cone.  Caches boundedness; returns the sorted vertices, or
+        None when the normals have rank < dim and the cone is not pointed.
+        """
         n = self.dim
-        hs = self.halfspaces
-        for subset in combinations(range(len(hs)), n):
-            m = [hs[i].normal for i in subset]
-            rhs = [hs[i].rhs for i in subset]
-            sol = linalg.solve(m, rhs)
-            if sol is None or sol in seen:
-                continue
-            if self.contains(sol):
-                seen.add(sol)
-        return sorted(seen)
+        rows = [(0,) * n + (1,)] + [tuple(-a for a in h.normal) + (h.rhs,)
+                                    for h in self.halfspaces]
+        rays = _extreme_rays(rows, n + 1)
+        object.__setattr__(self, "_bounded", rays is not None and all(r[n] for r in rays))
+        return None if rays is None else tuple(
+            sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n]))
 
     def vertex_set(self):
         """Sorted vertex tuples; raises UnboundedError or EmptyPolytopeError."""
         if self._vertices is None:
-            cands = self._vertex_candidates()
-            if cands:
-                if not self.is_bounded():
-                    raise UnboundedError("unbounded")
-            else:
-                rows = [(h.normal, h.rhs) for h in self.halfspaces]
-                if linalg.fm_feasible(rows, self.dim):
-                    raise UnboundedError("unbounded")
+            verts = self._ray_vertices()
+            # Without a pointed cone FM tells a nonempty system from an empty one.
+            if (verts and not self._bounded) or (verts is None and linalg.fm_feasible(
+                    [(h.normal, h.rhs) for h in self.halfspaces], self.dim)):
+                raise UnboundedError("unbounded")
+            if not verts:
                 raise EmptyPolytopeError("empty")
-            object.__setattr__(self, "_vertices", tuple(cands))
+            object.__setattr__(self, "_vertices", verts)
         return self._vertices
 
     def is_empty(self):
@@ -230,8 +270,6 @@ class HPolytope:
     def affine_hull_dim(self):
         """Dimension of the affine span; lower-dimensional sets report < dim."""
         verts = self.vertex_set()
-        if len(verts) == 1:
-            return 0
         diffs = [linalg.vec_sub(v, verts[0]) for v in verts[1:]]
         return linalg.mat_rank(diffs)
 
@@ -284,38 +322,6 @@ def scale(p: HPolytope, factor) -> HPolytope:
                      _bounded=p._bounded)
 
 
-def _hull_full_dim(points, dim):
-    half = set()
-    for subset in combinations(points, dim):
-        diffs = [linalg.vec_sub(q, subset[0]) for q in subset[1:]]
-        if dim > 1:
-            if linalg.mat_rank(diffs) != dim - 1:
-                continue
-            normals = linalg.nullspace(diffs)
-            if len(normals) != 1:
-                continue
-            normal = normals[0]
-        else:
-            normal = (Fraction(1),)
-        c = linalg.vec_dot(normal, subset[0])
-        lo = hi = False
-        for q in points:
-            val = linalg.vec_dot(normal, q)
-            if val < c:
-                lo = True
-            elif val > c:
-                hi = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if hi:
-            normal = tuple(-x for x in normal)
-            c = -c
-        half.add(HalfSpace.make(normal, c))
-    return HPolytope(dim, half, _bounded=True)
-
-
 def hull(points, dim=None) -> HPolytope:
     """Minimal H-representation of the convex hull of rational points.
 
@@ -324,42 +330,35 @@ def hull(points, dim=None) -> HPolytope:
     False.
     """
     if isinstance(points, LatticePointSet):
-        dim = points.dim
-        pts = [frac_vec(p) for p in points]
+        dim, pts = points.dim, list(points.points)      # distinct and sorted
     else:
-        pts = [frac_vec(p) for p in points]
-        if dim is None:
-            if not pts:
-                raise ValueError("empty input")
-            dim = len(pts[0])
+        pts = sorted(set(map(frac_vec, points)))
     if not pts:
         raise ValueError("empty input")
-    pts = sorted(set(pts))
+    dim = dim or len(pts[0])
+    # Facets c.x + b >= 0 are the extreme rays (c, b) of the cone cut out by
+    # the rows (p, 1); it is pointed exactly when the hull is full-dimensional.
+    rays = _extreme_rays([p + (1,) for p in pts], dim + 1)
+    if rays is not None:
+        return HPolytope(dim, [HalfSpace.make(tuple(-c for c in r[:dim]), r[dim])
+                               for r in rays], _bounded=True)
     x0 = pts[0]
     diffs = [linalg.vec_sub(p, x0) for p in pts[1:]]
-    r = linalg.mat_rank(diffs) if diffs else 0
-    if r == dim:
-        return _hull_full_dim(pts, dim)
+    r = linalg.mat_rank(diffs)
     # Lower-dimensional hull: cut out the affine hull with equality pairs,
     # then lift the facets of the hull taken inside the affine hull.
-    half = []
-    if r == 0:
-        for i in range(dim):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-            half.append(HalfSpace.make(e, x0[i]))
-            half.append(HalfSpace.make(tuple(-x for x in e), -x0[i]))
-        return HPolytope(dim, half, _bounded=True)
-    basis = []
+    half, basis = [], []
     for d in diffs:
-        if linalg.mat_rank(basis + [d]) > len(basis):
+        if len(basis) < r and linalg.mat_rank(basis + [d]) > len(basis):
             basis.append(d)
-        if len(basis) == r:
-            break
-    bmat = linalg.transpose(basis)          # dim x r, columns span directions
-    for row in linalg.nullspace(basis):     # vectors orthogonal to all diffs
+    # Equality pairs from the normals of the affine hull (every e_i for a point).
+    for row in linalg.nullspace(basis) if basis else linalg.identity(dim):
         half.append(HalfSpace.make(row, linalg.vec_dot(row, x0)))
         neg = tuple(-x for x in row)
         half.append(HalfSpace.make(neg, linalg.vec_dot(neg, x0)))
+    if not basis:
+        return HPolytope(dim, half, _bounded=True)
+    bmat = linalg.transpose(basis)          # dim x r, columns span directions
     tmat = linalg.left_inverse(bmat)        # r x dim with tmat @ bmat = I
     proj = [linalg.mat_vec(tmat, linalg.vec_sub(p, x0)) for p in pts]
     inner = hull(proj, r)

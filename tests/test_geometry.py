@@ -265,3 +265,45 @@ class TestEquality:
 
     def test_distinct(self):
         assert unit_box([1, 1]) != unit_box([1, 2])
+
+    def test_hash_agrees_with_eq(self):
+        a = unit_box([2, 2])
+        b = HPolytope.from_inequalities(
+            2, [[-1, 0, 0], [0, -1, 0], [1, 0, 2], [0, 1, 2], [1, 1, 5]])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert b in {a}
+
+    def test_hash_of_unbounded_and_empty(self):
+        ray = HPolytope.from_inequalities(1, [[-1, 0]])
+        empty = HPolytope.from_inequalities(1, [[1, 0], [-1, -1]])
+        assert ray in {HPolytope.from_inequalities(1, [[-2, 0]])}
+        assert empty in {HPolytope.from_inequalities(1, [[1, 0], [-1, -1]])}
+        assert ray != empty
+
+
+class TestLatticePointSet:
+    def test_membership_builds_one_set(self, monkeypatch):
+        from toricdeg import geometry
+        pts = LatticePointSet.make(2, [(x, y) for x in range(300) for y in range(300)])
+        builds = []
+
+        def counting(kind):
+            def build(*args):
+                if args and args[0] is pts.points:
+                    builds.append(kind)
+                return kind(*args)
+            return build
+
+        monkeypatch.setattr(geometry, "set", counting(set), raising=False)
+        monkeypatch.setattr(geometry, "frozenset", counting(frozenset), raising=False)
+        assert all((i, 2 * i) in pts for i in range(100))
+        assert (300, 0) not in pts
+        assert pts.as_set() == {(x, y) for x in range(300) for y in range(300)}
+        assert len(builds) == 1
+
+    def test_cache_ignored_by_eq_and_hash(self):
+        a = LatticePointSet.make(1, [(0,), (1,)])
+        b = LatticePointSet.make(1, [(1,), (0,)])
+        assert (0,) in a
+        assert a == b and hash(a) == hash(b)
