@@ -3,7 +3,8 @@
 Every subcommand reads JSON, computes with exact arithmetic, and prints a
 deterministic JSON report; rationals are serialized as "p/q".  Exit codes:
 0 success (verdicts live in the JSON body, not the exit code), 2 malformed
-input, 3 mathematical precondition failure.
+input, 3 mathematical precondition failure, 4 internal error (a broken
+invariant inside the library, reported as {"error": "internal", ...}).
 """
 
 from __future__ import annotations
@@ -471,6 +472,9 @@ def main(argv=None):
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
+        return 4
     _emit(report, args)
     return 0
 

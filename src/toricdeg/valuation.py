@@ -226,6 +226,14 @@ def identity_semigroup(p: HPolytope, max_level: int) -> GradedSemigroup:
     return GradedSemigroup(p.dim, levels, max_level)
 
 
+def slide_levels(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSemigroup:
+    """Level m is the slide of the lattice points of m*P; no preconditions."""
+    levels = {0: LatticePointSet(p.dim, ((0,) * p.dim,))}
+    for m in range(1, max_level + 1):
+        levels[m] = slide(lattice_points(dilate(p, m)), d)
+    return GradedSemigroup(p.dim, levels, max_level)
+
+
 def build_semigroup(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSemigroup:
     """Slide every dilate of an integral smooth polytope at the origin corner.
 
@@ -251,10 +259,7 @@ def build_semigroup(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSe
     smooth, offender = geometry.is_delzant_smooth(p)
     if not smooth:
         raise NotSmoothError(f"polytope is not smooth at vertex {offender}")
-    levels = {0: LatticePointSet(p.dim, ((0,) * p.dim,))}
-    for m in range(1, max_level + 1):
-        levels[m] = slide(lattice_points(dilate(p, m)), d)
-    sg = GradedSemigroup(p.dim, levels, max_level)
+    sg = slide_levels(p, d, max_level)
     _check_additivity(sg)
     return sg
 

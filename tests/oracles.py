@@ -1,16 +1,18 @@
-"""Slow subset-enumeration oracles for the polytope kernel.
+"""Slow generic oracles for the polytope kernel and the Bott cube test.
 
 These are the exhaustive algorithms the library used before the
 double-description kernel: facets from every dim-subset of points, vertices
 from every n-subset of facets, and boundedness from every (n-1)-subset of
-normals.  They are kept only to check the production code against; all of
-them are exponential in the dimension.
+normals.  The Bott cube oracle is the generic geometric test that preceded
+the fibration criterion.  They are kept only to check the production code
+against; all of them are exponential in the dimension.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from toricdeg import linalg
+from toricdeg.bott import BottData, bott_polytope
 from toricdeg.errors import EmptyPolytopeError, UnboundedError
 from toricdeg.geometry import HalfSpace, HPolytope, frac_vec
 
@@ -136,3 +138,37 @@ def vertex_set_oracle(p: HPolytope):
             raise UnboundedError("unbounded")
         raise EmptyPolytopeError("empty")
     return tuple(cands)
+
+
+def sign_choice_vertices(b: BottData):
+    """Candidate vertex for each lower/upper facet choice (forward solve)."""
+    verts = []
+    for choice in product((0, 1), repeat=b.n):
+        p = [Fraction(0)] * b.n
+        for j in range(b.n):
+            if choice[j]:
+                p[j] = b.lam[j] - sum(b.a[i][j] * p[i] for i in range(j))
+        verts.append(tuple(p))
+    return verts
+
+
+def is_hypercube_oracle(b: BottData) -> bool:
+    """Combinatorial hypercube test by generic geometry: the 2^n sign-choice
+    candidates are distinct, all feasible, exhaust the vertex set, and every
+    one of the 2n inequalities supports a facet."""
+    poly = bott_polytope(b)
+    cands = sign_choice_vertices(b)
+    if len(set(cands)) != 2 ** b.n:
+        return False
+    if not all(poly.contains(p) for p in cands):
+        return False
+    if set(poly.vertex_set()) != set(cands):
+        return False
+    for h in poly.halfspaces:
+        active = [v for v in cands if h.value(v) == h.rhs]
+        if not active:
+            return False
+        diffs = [linalg.vec_sub(v, active[0]) for v in active[1:]]
+        if b.n > 1 and (not diffs or linalg.mat_rank(diffs) != b.n - 1):
+            return False
+    return True

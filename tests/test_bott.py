@@ -30,6 +30,7 @@ from toricdeg.errors import MoveError, NotQTrivialError
 from toricdeg.valuation import SlideDirection, build_semigroup, check_cone_condition
 
 from conftest import random_bott_hypercube, random_standard_bott, scramble_bott
+from oracles import is_hypercube_oracle, sign_choice_vertices
 
 
 def hirz(a, lam):
@@ -47,6 +48,34 @@ def random_upper(rng, n, bound=5, density=0.6):
             if rng.random() < density:
                 rows[i][j] = rng.randint(-bound, bound)
     return rows
+
+
+def random_tower(rng, n):
+    """Small entries and small, often rational lengths, so that the boundary
+    cases u_j = 0 and u_j < 0 come up about as often as cubes do."""
+    lam = []
+    for j in range(n):
+        q = rng.choice((1, 1, 2, 3))
+        boost = rng.randint(0, 2 * j * j) if rng.random() < 0.7 else 0
+        lam.append(Fraction(rng.randint(1, 4 * q), q) + boost)
+    return BottData.make(random_upper(rng, n, bound=3), lam)
+
+
+def min_fibre_bound(b):
+    """Least u_j over the sign-choice vertices, read off the oracle's
+    forward-solved candidates."""
+    return min(b.lam[j] - sum(b.a[i][j] * p[i] for i in range(j))
+               for p in sign_choice_vertices(b) for j in range(b.n))
+
+
+def legal_permutations(rng, b, tries=20):
+    out = []
+    for _ in range(tries):
+        perm = list(range(b.n))
+        rng.shuffle(perm)
+        if all(perm[i] < perm[j] for i in range(b.n) for j in range(b.n) if b.a[i][j]):
+            out.append(perm)
+    return out
 
 
 class TestBottPolytope:
@@ -87,6 +116,35 @@ class TestHypercube:
 
     def test_interval(self):
         assert is_hypercube(BottData.make(((0,),), (4,)))
+
+    def test_agrees_with_generic_oracle(self, rng):
+        seen = set()
+        for t in range(3000):
+            n = 1 + t % 5
+            b = random_tower(rng, n)
+            got = is_hypercube(b)
+            assert got == is_hypercube_oracle(b), b
+            least = min_fibre_bound(b)
+            seen.add((n, got, (least > 0) - (least < 0)))
+        # cubes at every n; collisions (u_j = 0) and u_j < 0 at every n >= 2
+        for n in range(1, 6):
+            assert (n, True, 1) in seen
+        for n in range(2, 6):
+            assert (n, False, 0) in seen and (n, False, -1) in seen
+
+    def test_boundary_cases_agree_with_oracle(self):
+        cases = [
+            (hirz(2, (1, 2)), False),      # u_2 = 0: vertex collision
+            (hirz(2, (1, 1)), False),      # u_2 < 0: collapsed facet
+            (hirz(3, (Fraction(1, 3), 1)), False),
+            (hirz(-3, (Fraction(1, 2), Fraction(1, 2))), True),
+            # u_3 vanishes at the prefix vertex (1, 2) only
+            (BottData.make(((0, 1, 2), (0, 0, 1), (0, 0, 0)), (1, 3, 4)), False),
+            (BottData.make(((0, 1, 2), (0, 0, 1), (0, 0, 0)), (1, 3, 5)), True),
+        ]
+        for b, want in cases:
+            assert is_hypercube(b) is want, b
+            assert is_hypercube_oracle(b) is want, b
 
 
 class TestRing:
@@ -183,6 +241,19 @@ class TestQTrivial:
     def test_negative_example(self):
         b = BottData.make(((0, 1, 1), (0, 0, 1), (0, 0, 0)), (1, 1, 1))
         assert not is_q_trivial(b)
+
+    def test_squares_agree_with_exceptional_types(self, rng):
+        verdicts = set()
+        for t in range(120):
+            n = 1 + t % 4
+            if t % 3 == 0:
+                b = scramble_bott(random_standard_bott(rng, n), rng, steps=3)
+            else:
+                b = BottData.make(random_upper(rng, n, bound=2, density=0.4), [1] * n)
+            by_types = all(exceptional_type(b, k) is not None for k in range(1, n + 1))
+            assert is_q_trivial(b) == by_types, b
+            verdicts.add(by_types)
+        assert verdicts == {True, False}
 
 
 class TestRingMapCheck:
@@ -308,6 +379,31 @@ class TestMoves:
                 continue
             assert rep.all_pass, (b, target)
             checked += 1
+
+    def test_flip_and_permutation_maps_descend(self, rng):
+        def check(b, mv):
+            src, tgt = CohRing.of(b), CohRing.of(mv.result)
+            assert ring_map_check(mv.ring_map, src, tgt, omega_class(src, b.lam),
+                                  omega_class(tgt, mv.result.lam)), (b, mv.kind, mv.params)
+
+        flips = perms = 0
+        for t in range(40):
+            n = 2 + t % 3
+            if t % 2:
+                b = scramble_bott(random_standard_bott(rng, n), rng, steps=3)
+            else:
+                b = random_bott_hypercube(rng, n)
+            for k in range(1, n + 1):
+                try:
+                    mv = flip(b, k)
+                except MoveError:
+                    continue
+                check(b, mv)
+                flips += 1
+            for perm in legal_permutations(rng, b):
+                check(b, permutation_move(b, perm))
+                perms += 1
+        assert flips > 50 and perms > 50
 
     def test_non_exceptional_rejected(self):
         b = BottData.make(((0, 1, 1), (0, 0, 1), (0, 0, 0)), (1, 1, 1))
@@ -458,6 +554,19 @@ class TestDecision:
         p2 = bott_polytope(BottData(3, s2.data.a, s2.lam))
         lam_t = linalg.transpose(dec.lam_matrix)
         assert p2.affine_unimodular_image(lam_t, (0, 0, 0)) == p1
+
+    def test_yes_means_equal_standard_data(self, rng):
+        for t in range(12):
+            n = 2 + t % 3
+            base = random_standard_bott(rng, n)
+            dec = decide_symplectomorphic(scramble_bott(base, rng, steps=3),
+                                          scramble_bott(base, rng, steps=3))
+            assert dec.yes
+            s1, s2 = dec.standard
+            std1 = BottData(n, s1.data.a, s1.lam)
+            std2 = BottData(n, s2.data.a, s2.lam)
+            assert std1 == std2
+            assert bott_polytope(std1) == bott_polytope(std2)
 
     def test_requires_q_trivial(self):
         bad = BottData.make(((0, 1, 1), (0, 0, 1), (0, 0, 0)), (1, 1, 1))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from toricdeg import bott
 from toricdeg.cli import main
 
 RECT = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 3], [0, 3]]}
@@ -178,6 +179,19 @@ class TestExitCodes:
         code, rep = run(capsys, ["bott-equiv", a, b])
         assert code == 0
         assert rep["symplectomorphic"] is False
+
+    def test_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(b):
+            raise AssertionError("standardization did not terminate")
+
+        monkeypatch.setattr(bott, "standard_form", broken)
+        f = write(tmp_path, "b.json", BOTT4)
+        code = main(["bott-equiv", f, f])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "internal", "message": "standardization did not terminate"}
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", RECT)
