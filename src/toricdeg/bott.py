@@ -544,6 +544,11 @@ def standard_form(b: BottData) -> StandardForm:
     """
     if not is_q_trivial(b):
         raise NotQTrivialError("standard form requires rationally trivial data")
+    return _standard_form(b)
+
+
+def _standard_form(b: BottData) -> StandardForm:
+    """`standard_form` for data already known to be rationally trivial."""
     scale = 1
     for x in b.lam:
         scale = scale * x.denominator // gcd(scale, x.denominator)
@@ -630,8 +635,8 @@ def decide_symplectomorphic(b1: BottData, b2: BottData) -> Decision:
             raise NotQTrivialError("decision requires rationally trivial data")
         if not is_hypercube(b):
             raise MoveError("decision requires combinatorial-hypercube data")
-    s1 = standard_form(b1)
-    s2 = standard_form(b2)
+    s1 = _standard_form(b1)
+    s2 = _standard_form(b2)
     if s1.partition != s2.partition:
         return Decision(False, f"partition mismatch: {s1.partition} vs {s2.partition}",
                         standard=(s1, s2))

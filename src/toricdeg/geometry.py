@@ -301,25 +301,17 @@ def vertices(p: HPolytope) -> VPolytope:
     return VPolytope(p.dim, p.vertex_set())
 
 
-def dilate(p: HPolytope, m: int) -> HPolytope:
-    """Scale by a positive integer: right hand sides and vertices scale by m."""
-    if m < 1:
-        raise ValueError("dilation factor must be a positive integer")
+def dilate(p: HPolytope, m) -> HPolytope:
+    """Scale by a positive rational m: right hand sides and vertices scale by m."""
+    m = Fraction(m)
+    if m <= 0:
+        raise ValueError("dilation factor must be positive")
     out = HPolytope(p.dim, [HalfSpace(h.normal, h.rhs * m) for h in p.halfspaces],
                     _bounded=p._bounded)
     if p._vertices is not None:
-        verts = sorted(linalg.vec_scale(Fraction(m), v) for v in p._vertices)
+        verts = sorted(linalg.vec_scale(m, v) for v in p._vertices)
         object.__setattr__(out, "_vertices", tuple(verts))
     return out
-
-
-def scale(p: HPolytope, factor) -> HPolytope:
-    """Scale by a positive rational factor."""
-    factor = Fraction(factor)
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return HPolytope(p.dim, [HalfSpace(h.normal, h.rhs * factor) for h in p.halfspaces],
-                     _bounded=p._bounded)
 
 
 def hull(points, dim=None) -> HPolytope:

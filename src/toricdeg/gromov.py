@@ -5,7 +5,8 @@ the standard orthogonal realizations of the classical families (plus G2).
 The simplex search looks for the largest open simplex of size a whose image
 under an integer unimodular map plus translation sits inside a polytope; the
 search is exhaustive over bounded matrix entries and certifies its answer
-with an explicit (a, Psi, x) triple.
+with an explicit (a, Psi, x) triple.  Maps with the same facet loads share
+one LP, so the search solves one per load vector, not one per map.
 
 Openness is harmless here: a closed convex set contains Psi(int S(a)) + x
 exactly when it contains the closed simplex vertices, so the fit test works
@@ -184,28 +185,39 @@ def fits(delta: HPolytope, fit: SimplexFit) -> bool:
 
 
 def _unimodular_candidates(n, bound):
-    """All integer matrices with entries in [-bound, bound] and det +-1."""
-    out = []
-    for entries in product(range(-bound, bound + 1), repeat=n * n):
-        m = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-        if abs(linalg.mat_det(m)) == 1:
-            out.append(m)
-    return out
+    """All integer matrices with entries in [-bound, bound] and det +-1, in
+    lexicographic order of the flattened entries."""
+    rows = list(product(range(-bound, bound + 1), repeat=n))
+    return (psi for psi in product(rows, repeat=n) if abs(linalg.int_det(psi)) == 1)
 
 
-def _best_fit_for_psi(delta: HPolytope, psi):
+class _FacetDots(dict):
+    """<u, v> for every facet normal u of delta, memoized per column v."""
+
+    def __init__(self, delta: HPolytope):
+        super().__init__()
+        self.normals = [h.normal for h in delta.halfspaces]
+
+    def __missing__(self, v):
+        out = self[v] = tuple(linalg.vec_dot(u, v) for u in self.normals)
+        return out
+
+
+def _facet_loads(dots: _FacetDots, psi):
+    """Per facet u, the load max(0, max_i <u, psi_col_i>) of the mapped
+    simplex: the only way the fit LP depends on psi."""
+    return tuple(max(0, *d) for d in zip(*(dots[col] for col in zip(*psi))))
+
+
+def _best_fit(delta: HPolytope, loads, psi):
     """Exact LP in (a, x): maximize a with all mapped vertices inside delta.
 
     Per facet u, the binding requirement over the simplex vertices collapses
-    to u.x + a * max(0, max_i u.psi_col_i) <= rhs, which Fourier-Motzkin
-    solves exactly; the witness x is the lex-least optimum.
+    to u.x + a * load_u <= rhs, which Fourier-Motzkin solves exactly; the
+    witness x is the lex-least optimum.
     """
     n = delta.dim
-    cols = list(zip(*psi))
-    rows = []
-    for h in delta.halfspaces:
-        c = max(0, max(linalg.vec_dot(h.normal, col) for col in cols))
-        rows.append(((c,) + tuple(h.normal), h.rhs))
+    rows = [((c,) + tuple(h.normal), h.rhs) for c, h in zip(loads, delta.halfspaces)]
     rows.append(((-1,) + (0,) * n, Fraction(0)))
     value, witness = linalg.fm_maximize(rows, n + 1, objective_index=0)
     if value is None:
@@ -218,11 +230,11 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
     """Largest certified simplex over unimodular maps with bounded entries.
 
     Exhaustive mode scans every psi with entries in [-bound, bound] (kept to
-    n <= 3); the result is a valid lower bound for any bound, and grows
-    monotonically with it.  Ties break lexicographically on the flattened
-    psi.  Heuristic mode is a seeded random walk over unimodular row
-    operations; it certifies whatever it finds but makes no maximality
-    claim.
+    n <= 3) and solves one exact LP per distinct facet-load vector; the
+    result is a valid lower bound for any bound, and grows monotonically
+    with it.  Ties break lexicographically on the flattened psi.  Heuristic
+    mode is a seeded random walk over unimodular row operations; it
+    certifies whatever it finds but makes no maximality claim.
     """
     if not delta.is_bounded():
         raise UnboundedError("unbounded")
@@ -238,9 +250,16 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
             raise ValueError(
                 "exhaustive candidate space too large at this bound and "
                 "dimension; lower the bound or use the heuristic mode")
-        best = None
+        # One LP per distinct load vector, certified by the first (so
+        # lex-least) psi that produces it; the rest of its group would
+        # give the same (a, x) and lose the tie-break.
+        dots = _FacetDots(delta)
+        groups = {}
         for psi in _unimodular_candidates(n, bound):
-            fit = _best_fit_for_psi(delta, psi)
+            groups.setdefault(_facet_loads(dots, psi), psi)
+        best = None
+        for loads, psi in groups.items():
+            fit = _best_fit(delta, loads, psi)
             if fit is None:
                 continue
             key = (-fit.a, tuple(x for row in psi for x in row))
@@ -249,8 +268,9 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
         return best[1]
     if mode == "heuristic":
         rng = random.Random(seed)
+        dots = _FacetDots(delta)
         psi = linalg.identity(n)
-        best = _best_fit_for_psi(delta, psi)
+        best = _best_fit(delta, _facet_loads(dots, psi), psi)
         current = psi
         for _ in range(steps):
             cand = [list(row) for row in current]
@@ -266,9 +286,9 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
             else:
                 cand[i] = [-x for x in cand[i]]
             cand = tuple(tuple(row) for row in cand)
-            if abs(linalg.mat_det(cand)) != 1:
+            if abs(linalg.int_det(cand)) != 1:
                 continue
-            fit = _best_fit_for_psi(delta, cand)
+            fit = _best_fit(delta, _facet_loads(dots, cand), cand)
             if fit is not None and fit.a >= best.a:
                 best = fit if fit.a > best.a else best
                 current = cand

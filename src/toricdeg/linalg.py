@@ -5,6 +5,10 @@ here is asymptotically clever; dimensions stay below ~10 throughout the
 package, so plain Gaussian elimination with exact arithmetic is the right
 tool.  Fourier-Motzkin elimination lives here too because both the polytope
 kernel and the simplex search need exact feasibility and 1-d optimisation.
+Input rows are scaled once to primitive integer coefficients; every row
+that elimination derives is an integer combination of such rows, so it is
+reduced by an integer gcd alone and only its right hand side stays a
+Fraction.
 """
 
 from __future__ import annotations
@@ -75,6 +79,21 @@ def mat_det(m):
                 for c in range(col, n):
                     rows[r][c] -= factor * rows[col][c]
     return det
+
+
+def int_det(m):
+    """Determinant of an integer matrix as an int; closed form up to 3x3."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        a, b, c = m[0]
+        d, e, f = m[1]
+        g, h, i = m[2]
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return int(mat_det(m))
 
 
 def solve(m, rhs):
@@ -198,50 +217,50 @@ def primitive_int_vector(v):
 
 
 def _normalize_ineq(coeffs, rhs):
-    """Scale to primitive integer coefficients; rhs stays exact."""
+    """Scale an input row to primitive integer coefficients; rhs becomes an
+    exact Fraction."""
     lcm = 1
     for c in coeffs:
-        f = Fraction(c)
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(Fraction(c) * lcm) for c in coeffs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return (tuple(0 for _ in coeffs), Fraction(rhs) * lcm)
-    return (tuple(x // g for x in ints), Fraction(rhs) * lcm / g)
+        if not isinstance(c, int):
+            d = Fraction(c).denominator
+            lcm = lcm * d // gcd(lcm, d)
+    ints = tuple(int(c * lcm) for c in coeffs)
+    rhs = Fraction(rhs) * lcm
+    g = gcd(*ints)
+    if g > 1:
+        return (tuple(x // g for x in ints), rhs / g)
+    return (ints, rhs)
 
 
 def fm_eliminate(ineqs, j):
     """Project the system onto the coordinates other than x_j.
 
-    Column j of every returned inequality is zero.  Trivially true rows are
-    dropped, contradictory constant rows are kept so infeasibility survives
-    the projection.
+    The rows must have primitive integer coefficients, as `_normalize_ineq`
+    leaves them; so do the returned rows, and column j of each is zero.
+    Trivially true rows are dropped, contradictory constant rows are kept so
+    infeasibility survives the projection.
     """
-    zero, pos, neg = [], [], []
+    out, pos, neg = set(), [], []
     for coeffs, rhs in ineqs:
         c = coeffs[j]
-        if c == 0:
-            zero.append((coeffs, rhs))
-        elif c > 0:
+        if c > 0:
             pos.append((coeffs, rhs))
-        else:
+        elif c < 0:
             neg.append((coeffs, rhs))
-    out = set()
-    for coeffs, rhs in zero:
-        cc, rr = _normalize_ineq(coeffs, rhs)
-        if any(cc) or rr < 0:
-            out.add((cc, rr))
+        elif any(coeffs) or rhs < 0:
+            out.add((coeffs, rhs))
     for pc, pr in pos:
+        a = pc[j]
         for nc, nr in neg:
-            a = pc[j]
             b = -nc[j]
             comb = tuple(b * p + a * q for p, q in zip(pc, nc))
             rhs = b * pr + a * nr
-            cc, rr = _normalize_ineq(comb, rhs)
-            if any(cc) or rr < 0:
-                out.add((cc, rr))
+            g = gcd(*comb)
+            if g > 1:
+                comb = tuple(x // g for x in comb)
+                rhs = rhs / g
+            if g or rhs < 0:
+                out.add((comb, rhs))
     return sorted(out)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     NotSmoothError,
     ZeroPolynomialError,
 )
-from .geometry import HPolytope, LatticePointSet, dilate, hull, lattice_points, scale
+from .geometry import HPolytope, LatticePointSet, dilate, hull, lattice_points
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def okounkov_approx(sg: GradedSemigroup, m: int) -> HPolytope:
     pts = sg.levels[m]
     if len(pts) == 0:
         raise ValueError("empty level")
-    return scale(hull(pts), Fraction(1, m))
+    return dilate(hull(pts), Fraction(1, m))
 
 
 def check_cone_condition(sg: GradedSemigroup, delta: HPolytope):

@@ -1,20 +1,27 @@
-"""Slow generic oracles for the polytope kernel and the Bott cube test.
+"""Slow generic oracles for the polytope kernel, the Bott cube test, the
+simplex search and Fourier-Motzkin elimination.
 
 These are the exhaustive algorithms the library used before the
 double-description kernel: facets from every dim-subset of points, vertices
 from every n-subset of facets, and boundedness from every (n-1)-subset of
 normals.  The Bott cube oracle is the generic geometric test that preceded
-the fibration criterion.  They are kept only to check the production code
-against; all of them are exponential in the dimension.
+the fibration criterion.  The simplex-search oracle solves one LP per
+unimodular candidate, found by a Fraction determinant, where the library
+solves one per facet-load vector; the elimination oracle normalizes every
+derived row through the Fraction lcm path.  They are kept only to check the
+production code against; all of them are exponential in the dimension.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
+from unittest import mock
 
 from toricdeg import linalg
 from toricdeg.bott import BottData, bott_polytope
 from toricdeg.errors import EmptyPolytopeError, UnboundedError
 from toricdeg.geometry import HalfSpace, HPolytope, frac_vec
+from toricdeg.gromov import SimplexFit
 
 
 def _hull_full_dim(points, dim):
@@ -172,3 +179,97 @@ def is_hypercube_oracle(b: BottData) -> bool:
         if b.n > 1 and (not diffs or linalg.mat_rank(diffs) != b.n - 1):
             return False
     return True
+
+
+def unimodular_candidates_oracle(n, bound):
+    """All integer matrices with entries in [-bound, bound] and det +-1."""
+    out = []
+    for entries in product(range(-bound, bound + 1), repeat=n * n):
+        m = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
+        if abs(linalg.mat_det(m)) == 1:
+            out.append(m)
+    return out
+
+
+def best_fit_for_psi_oracle(delta: HPolytope, psi):
+    """Exact LP in (a, x) for one psi: maximize a with every mapped simplex
+    vertex inside delta, the per-facet requirement collapsed to
+    u.x + a * max(0, max_i u.psi_col_i) <= rhs."""
+    n = delta.dim
+    cols = list(zip(*psi))
+    rows = []
+    for h in delta.halfspaces:
+        c = max(0, max(linalg.vec_dot(h.normal, col) for col in cols))
+        rows.append(((c,) + tuple(h.normal), h.rhs))
+    rows.append(((-1,) + (0,) * n, Fraction(0)))
+    value, witness = linalg.fm_maximize(rows, n + 1, objective_index=0)
+    if value is None:
+        return None
+    return SimplexFit(Fraction(value), psi, tuple(witness[1:]))
+
+
+def best_simplex_lb_oracle(delta: HPolytope, bound):
+    """Exhaustive search with one LP per unimodular candidate; ties break
+    lexicographically on the flattened psi."""
+    best = None
+    for psi in unimodular_candidates_oracle(delta.dim, bound):
+        fit = best_fit_for_psi_oracle(delta, psi)
+        if fit is None:
+            continue
+        key = (-fit.a, tuple(x for row in psi for x in row))
+        if best is None or key < best[0]:
+            best = (key, fit)
+    return best[1]
+
+
+def normalize_ineq_oracle(coeffs, rhs):
+    """Scale to primitive integer coefficients through the lcm of the
+    coefficient denominators; rhs stays exact."""
+    lcm = 1
+    for c in coeffs:
+        f = Fraction(c)
+        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    ints = [int(Fraction(c) * lcm) for c in coeffs]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        return (tuple(0 for _ in coeffs), Fraction(rhs) * lcm)
+    return (tuple(x // g for x in ints), Fraction(rhs) * lcm / g)
+
+
+def fm_eliminate_oracle(ineqs, j):
+    """Fourier-Motzkin projection that renormalizes every row it keeps or
+    derives through `normalize_ineq_oracle`."""
+    zero, pos, neg = [], [], []
+    for coeffs, rhs in ineqs:
+        c = coeffs[j]
+        if c == 0:
+            zero.append((coeffs, rhs))
+        elif c > 0:
+            pos.append((coeffs, rhs))
+        else:
+            neg.append((coeffs, rhs))
+    out = set()
+    for coeffs, rhs in zero:
+        cc, rr = normalize_ineq_oracle(coeffs, rhs)
+        if any(cc) or rr < 0:
+            out.add((cc, rr))
+    for pc, pr in pos:
+        for nc, nr in neg:
+            a = pc[j]
+            b = -nc[j]
+            comb = tuple(b * p + a * q for p, q in zip(pc, nc))
+            rhs = b * pr + a * nr
+            cc, rr = normalize_ineq_oracle(comb, rhs)
+            if any(cc) or rr < 0:
+                out.add((cc, rr))
+    return sorted(out)
+
+
+def fm_maximize_oracle(ineqs, nvars, objective_index=0):
+    """`linalg.fm_maximize` with every row, input or derived, normalized by
+    `normalize_ineq_oracle`."""
+    with mock.patch.object(linalg, "_normalize_ineq", normalize_ineq_oracle), \
+            mock.patch.object(linalg, "fm_eliminate", fm_eliminate_oracle):
+        return linalg.fm_maximize(ineqs, nvars, objective_index)

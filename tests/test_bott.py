@@ -578,6 +578,41 @@ class TestDecision:
         with pytest.raises(MoveError):
             decide_symplectomorphic(collapsed, collapsed)
 
+    def test_q_triviality_tested_once_per_input(self, monkeypatch):
+        from toricdeg import bott
+        calls = []
+        original = bott.is_q_trivial
+
+        def counted(b):
+            calls.append(b)
+            return original(b)
+
+        monkeypatch.setattr(bott, "is_q_trivial", counted)
+        b1, b2 = hirz(0, (1, 3)), hirz(4, (1, 5))
+        assert decide_symplectomorphic(b1, b2).yes
+        assert calls == [b1, b2]
+        calls.clear()
+        assert not decide_symplectomorphic(hirz(-1, (1, 3)), hirz(-1, (1, 4))).yes
+        assert len(calls) == 2
+        calls.clear()
+        standard_form(b1)
+        assert calls == [b1]
+
+    def test_precondition_errors_keep_order(self):
+        bad = BottData.make(((0, 1, 1), (0, 0, 1), (0, 0, 0)), (1, 1, 1))
+        collapsed = hirz(4, (1, 2))
+        msg = "decision requires rationally trivial data"
+        with pytest.raises(NotQTrivialError, match=msg):
+            decide_symplectomorphic(hirz(0, (1, 3)), bad)
+        # the first input is checked in full before the second
+        with pytest.raises(MoveError, match="combinatorial-hypercube"):
+            decide_symplectomorphic(collapsed, bad)
+        with pytest.raises(NotQTrivialError, match=msg):
+            decide_symplectomorphic(bad, collapsed)
+        with pytest.raises(NotQTrivialError,
+                           match="standard form requires rationally trivial data"):
+            standard_form(bad)
+
     def test_rational_lengths(self):
         # lengths are cleared to integers internally and rescaled at the end
         b1 = hirz(0, (Fraction(1, 2), Fraction(3, 2)))

@@ -184,7 +184,7 @@ class TestExitCodes:
         def broken(b):
             raise AssertionError("standardization did not terminate")
 
-        monkeypatch.setattr(bott, "standard_form", broken)
+        monkeypatch.setattr(bott, "_standard_form", broken)
         f = write(tmp_path, "b.json", BOTT4)
         code = main(["bott-equiv", f, f])
         captured = capsys.readouterr()

@@ -148,6 +148,22 @@ class TestDilate:
             scaled = {tuple(m * x for x in v) for v in p.vertex_set()}
             assert vset(dilate(p, m)) == scaled
 
+    def test_rational_factor_keeps_vertex_cache(self, rng):
+        for _ in range(6):
+            p = random_integral_polygon(rng)
+            t = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            scaled = tuple(sorted(tuple(t * x for x in v) for v in p.vertex_set()))
+            q = dilate(p, t)
+            assert q._vertices == scaled
+            fresh = HPolytope.from_inequalities(
+                2, [list(h.normal) + [h.rhs * t] for h in p.halfspaces])
+            assert q == fresh and q.vertex_set() == fresh.vertex_set()
+
+    @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 2)])
+    def test_nonpositive_factor_rejected(self, factor):
+        with pytest.raises(ValueError):
+            dilate(unit_box([1, 1]), factor)
+
 
 class TestNormality:
     def test_polygons_are_normal(self, rng):

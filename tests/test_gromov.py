@@ -19,7 +19,8 @@ from toricdeg.gromov import (
     _unimodular_candidates,
 )
 
-from conftest import random_integral_polygon, unit_box
+from conftest import corner_simplex, random_integral_polygon, unit_box
+from oracles import best_simplex_lb_oracle, unimodular_candidates_oracle
 
 
 def oracle_best_a(delta, bound):
@@ -32,7 +33,7 @@ def oracle_best_a(delta, bound):
     n = delta.dim
     best = None
     seen_cols = set()
-    for psi in _unimodular_candidates(n, bound):
+    for psi in unimodular_candidates_oracle(n, bound):
         cols = tuple(sorted(zip(*psi)))
         if cols in seen_cols:  # column order never changes the simplex image
             continue
@@ -255,7 +256,65 @@ class TestBestSimplex:
         a2 = best_simplex_lb(p, mode="heuristic", seed=11)
         assert (a1.a, a1.psi, a1.x) == (a2.a, a2.psi, a2.x)
 
+    @pytest.mark.parametrize("points, seed, expected", [
+        ([(0, 0), (3, 1), (4, 4), (1, 3)], 0,
+         (Fraction(8, 3), ((0, -1), (1, 0)), (3, 1))),
+        ([(0, 0), (3, 1), (4, 4), (1, 3)], 11,
+         (Fraction(8, 3), ((-1, 0), (0, 1)), (3, 1))),
+        ([(0, 0), (2, 0), (7, 5), (5, 5)], 0,
+         (2, ((0, -1), (1, 0)), (2, 0))),
+        ([(0, 0), (2, 0), (7, 5), (5, 5)], 11,
+         (2, ((-1, 0), (0, 1)), (2, 0))),
+    ])
+    def test_heuristic_frozen(self, points, seed, expected):
+        # the full certificate is pinned, so a seed always reproduces the
+        # same walk, not just the same size
+        fit = best_simplex_lb(hull(points), mode="heuristic", seed=seed)
+        assert (fit.a, fit.psi, fit.x) == expected
+
     def test_full_dim_required(self):
         seg = hull([(0, 0), (0, 3)])
         with pytest.raises(LowerDimensionalError):
             best_simplex_lb(seg, 1)
+
+
+def rational_polygon(rng):
+    """A lattice polygon with every right hand side pushed out by a seeded
+    nonnegative rational: same normals, so still bounded and full."""
+    p = random_integral_polygon(rng)
+    rows = [list(h.normal) + [h.rhs + Fraction(rng.randint(0, 5), rng.randint(1, 4))]
+            for h in p.halfspaces]
+    return HPolytope.from_inequalities(2, rows)
+
+
+def certificate(fit):
+    return (fit.a, fit.psi, fit.x)
+
+
+class TestSearchOracle:
+    """The load-vector quotient against one LP per unimodular candidate."""
+
+    @pytest.mark.parametrize("n, bound", [(2, 1), (2, 2), (2, 3), (3, 1)])
+    def test_enumeration_matches_oracle(self, n, bound):
+        assert list(_unimodular_candidates(n, bound)) == unimodular_candidates_oracle(n, bound)
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_polygons_match_oracle(self, rng, bound):
+        for t in range(8):
+            p = rational_polygon(rng) if t % 2 else random_integral_polygon(rng)
+            assert certificate(best_simplex_lb(p, bound)) == \
+                certificate(best_simplex_lb_oracle(p, bound)), p
+
+    def test_3d_bodies_match_oracle(self):
+        box = unit_box([1, 2, 1])
+        bodies = [box, corner_simplex(3, 2), HPolytope.from_inequalities(3, [
+            [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
+            [1, 0, 0, Fraction(3, 2)], [0, 1, 0, 2], [0, 0, 1, Fraction(5, 3)],
+            [1, 1, 1, Fraction(7, 2)]])]
+        wants = [best_simplex_lb_oracle(p, 1) for p in bodies]
+        for p, want in zip(bodies, wants):
+            assert certificate(best_simplex_lb(p, 1)) == certificate(want)
+        # bound 2 scans 1.95M matrices, 135408 of them unimodular
+        fit = best_simplex_lb(box, 2)
+        assert fits(box, fit)
+        assert fit.a == wants[0].a

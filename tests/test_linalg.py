@@ -18,6 +18,15 @@ class TestDense:
             padded = [row + [0] for row in m] + [[0, 0, 0, 1]]
             assert linalg.mat_det(m) == linalg.mat_det(padded)
 
+    def test_int_det_agrees_with_fraction_det(self, rng):
+        for n in range(1, 6):
+            for _ in range(100):
+                m = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                     for _ in range(n)]
+                d = linalg.int_det(m)
+                assert type(d) is int
+                assert d == linalg.mat_det(m)
+
     def test_solve_round_trip(self, rng):
         for n in (2, 3, 4, 5):
             for _ in range(10):

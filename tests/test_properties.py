@@ -1,4 +1,5 @@
-"""Property-based tests of the polytope kernel (skipped without hypothesis).
+"""Property-based tests of the polytope kernel and of Fourier-Motzkin
+elimination (skipped without hypothesis).
 
 Examples are derandomized and no example database is written, so every run
 checks the same cases.
@@ -14,6 +15,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from toricdeg import hull, lattice_points, linalg  # noqa: E402
 from toricdeg.errors import EmptyPolytopeError  # noqa: E402
 from toricdeg.geometry import HPolytope  # noqa: E402
+
+from oracles import fm_maximize_oracle  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -115,3 +118,47 @@ def test_equal_polytopes_hash_equal(p, factor):
     redundant = [[2 * a for a in p.halfspaces[0].normal] + [2 * p.halfspaces[0].rhs + factor]]
     q = HPolytope.from_inequalities(p.dim, rows + redundant)
     assert q == p and hash(q) == hash(p)
+
+
+@st.composite
+def fm_systems(draw):
+    """Small systems for `fm_maximize`: integer or rational coefficients and
+    rational right hand sides, with zero rows, loosened multiples of other
+    rows, and tight or contradictory pairs mixed in; without the optional
+    box the objective may be unbounded."""
+    nvars = draw(st.integers(1, 4))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3))
+    rhs = st.fractions(-6, 6, max_denominator=4)
+    row = st.tuples(st.tuples(*[coeff] * nvars), rhs)
+    rows = draw(st.lists(row, max_size=6))
+    unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    if draw(st.booleans()):
+        box = draw(st.integers(1, 5))
+        rows += [(e, box) for e in unit] + [(tuple(-x for x in e), box) for e in unit]
+    if rows and draw(st.booleans()):
+        c, r = draw(st.sampled_from(rows))
+        k = draw(st.integers(1, 3))
+        rows.append((tuple(k * x for x in c), k * r + draw(st.fractions(0, 2, max_denominator=3))))
+    if draw(st.booleans()):
+        rows.append(((0,) * nvars, draw(rhs)))
+    if draw(st.booleans()):
+        e = draw(st.sampled_from(unit))
+        r = draw(rhs)
+        rows += [(e, r), (tuple(-x for x in e), -r - draw(st.sampled_from((0, Fraction(1, 2)))))]
+    rows = draw(st.permutations(rows))
+    return rows, nvars, draw(st.integers(0, nvars - 1))
+
+
+def fm_outcome(solve, rows, nvars, objective):
+    try:
+        return repr(solve(rows, nvars, objective))
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fm_systems())
+def test_integer_fm_rows_match_fraction_normalization(system):
+    rows, nvars, objective = system
+    assert fm_outcome(linalg.fm_maximize, rows, nvars, objective) == \
+        fm_outcome(fm_maximize_oracle, rows, nvars, objective)
