@@ -10,6 +10,7 @@ invariant inside the library, reported as {"error": "internal", ...}).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -363,7 +364,9 @@ def _add_slide_args(sub):
     sub.add_argument("--c", type=int)
 
 
+@functools.cache
 def build_parser():
+    """Built once per process: parse_args keeps no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="toricdeg",
         description="Exact toric degenerations, Gromov width bounds, and Bott "
@@ -454,9 +457,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

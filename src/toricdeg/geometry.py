@@ -6,8 +6,8 @@ predicates run in exact arithmetic, there is no floating point anywhere.
 
 Both representation conversions (vertex enumeration H->V and convex hull
 V->H) and the boundedness test run on one integer double-description kernel,
-`_extreme_rays`.  Lattice point enumeration scans the bounding box; it is a
-documented desk-scale choice (dimension <= 8).
+`_extreme_rays`.  Lattice point enumeration scans the bounding box by slabs;
+it is a documented desk-scale choice (dimension <= 8).
 """
 
 from __future__ import annotations
@@ -361,15 +361,30 @@ def hull(points, dim=None) -> HPolytope:
 
 
 def lattice_points(p: HPolytope) -> LatticePointSet:
-    """All integer vectors satisfying every inequality (bounding box scan)."""
+    """All integer vectors satisfying every inequality, in lex order.  For
+    each point of the bounding box of the first dim - 1 coordinates, the
+    rows <a, x> <= floor(b) cut the last coordinate to an integer interval."""
     verts = p.vertex_set()          # raises on unbounded or empty input
+    n = p.dim - 1
     lo = [ceil(min(v[i] for v in verts)) for i in range(p.dim)]
     hi = [floor(max(v[i] for v in verts)) for i in range(p.dim)]
+    rows = [(h.normal[:n], h.normal[n], floor(h.rhs)) for h in p.halfspaces]
     pts = []
-    for cand in product(*(range(lo[i], hi[i] + 1) for i in range(p.dim))):
-        if p.contains(cand):
-            pts.append(cand)
-    return LatticePointSet(p.dim, tuple(sorted(pts)))
+    for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
+        a, b = lo[n], hi[n]
+        for normal, c, rhs in rows:
+            s = rhs - sum(map(mul, normal, prefix))
+            if c > 0:
+                b = min(b, s // c)
+            elif c < 0:
+                a = max(a, -(s // -c))
+            elif s < 0:
+                break
+            if a > b:
+                break
+        else:
+            pts += [prefix + (x,) for x in range(a, b + 1)]
+    return LatticePointSet(p.dim, tuple(pts))
 
 
 def is_normal(p: HPolytope, max_degree: int):
@@ -377,19 +392,21 @@ def is_normal(p: HPolytope, max_degree: int):
 
     Returns (True, None) when for every 2 <= m <= max_degree each lattice
     point of m*P is a sum of m lattice points of P, else (False, (m, point))
-    for the first failure in (degree, lex) order.
+    for the first failure in (degree, lex) order.  Only degrees 2..dim-1 are
+    checked: past them every lattice point of (c+1)P is one of cP plus one of
+    P (Bruns, Gubeladze and Trung, J. reine angew. Math. 485, 1997).
     """
     if not p.is_integral():
         raise NotIntegralError("normality check requires an integral polytope")
-    base = lattice_points(p)
-    sums = base
-    for m in range(2, max_degree + 1):
+    top = min(max_degree, p.dim - 1)
+    if top < 2:
+        return (True, None)
+    base = sums = lattice_points(p)
+    for m in range(2, top + 1):
         sums = minkowski_sum(sums, base)
-        target = lattice_points(dilate(p, m))
-        reachable = sums.as_set()
-        for pt in target:
-            if pt not in reachable:
-                return (False, (m, pt))
+        missing = lattice_points(dilate(p, m)).as_set() - sums.as_set()
+        if missing:
+            return (False, (m, min(missing)))
     return (True, None)
 
 

@@ -238,8 +238,10 @@ def build_semigroup(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSe
     """Slide every dilate of an integral smooth polytope at the origin corner.
 
     Level m is the slide of the lattice points of m*P.  Requires the
-    decomposition property up to max_level; without it the slide levels can
-    fail additivity, and the caller should dilate by (n-1) first.  Levels are
+    decomposition property up to max_level, which by the degree-(n-1)
+    theorem of Bruns, Gubeladze and Trung is checked in degrees 2..n-1 only
+    (see `geometry.is_normal`); without it the slide levels can fail
+    additivity, and the caller should dilate by (n-1) first.  Levels are
     mutually independent, so callers may compute them in parallel and merge
     by degree; this implementation stays sequential.
     """
@@ -259,21 +261,7 @@ def build_semigroup(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSe
     smooth, offender = geometry.is_delzant_smooth(p)
     if not smooth:
         raise NotSmoothError(f"polytope is not smooth at vertex {offender}")
-    sg = slide_levels(p, d, max_level)
-    _check_additivity(sg)
-    return sg
-
-
-def _check_additivity(sg: GradedSemigroup):
-    for m1 in range(1, sg.max_level + 1):
-        for m2 in range(m1, sg.max_level - m1 + 1):
-            target = sg.levels[m1 + m2].as_set()
-            for p in sg.levels[m1]:
-                for q in sg.levels[m2]:
-                    s = tuple(a + b for a, b in zip(p, q))
-                    if s not in target:
-                        raise AssertionError(
-                            f"additivity violated: {p} + {q} missing at level {m1 + m2}")
+    return slide_levels(p, d, max_level)
 
 
 def okounkov_approx(sg: GradedSemigroup, m: int) -> HPolytope:

@@ -1,10 +1,14 @@
-"""Slow generic oracles for the polytope kernel, the Bott cube test, the
-simplex search and Fourier-Motzkin elimination.
+"""Slow generic oracles for the polytope kernel, lattice points and
+normality, the Bott cube test, the simplex search and Fourier-Motzkin
+elimination.
 
 These are the exhaustive algorithms the library used before the
 double-description kernel: facets from every dim-subset of points, vertices
 from every n-subset of facets, and boundedness from every (n-1)-subset of
-normals.  The Bott cube oracle is the generic geometric test that preceded
+normals.  Lattice points come from a scan of the whole bounding box with an
+exact membership test per point, normality from Minkowski sums at every
+degree up to the bound, and the additivity of semigroup levels from every
+point pair.  The Bott cube oracle is the generic geometric test that preceded
 the fibration criterion.  The simplex-search oracle solves one LP per
 unimodular candidate, found by a Fraction determinant, where the library
 solves one per facet-load vector; the elimination oracle normalizes every
@@ -14,13 +18,20 @@ production code against; all of them are exponential in the dimension.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import ceil, floor, gcd
 from unittest import mock
 
 from toricdeg import linalg
 from toricdeg.bott import BottData, bott_polytope
 from toricdeg.errors import EmptyPolytopeError, UnboundedError
-from toricdeg.geometry import HalfSpace, HPolytope, frac_vec
+from toricdeg.geometry import (
+    HalfSpace,
+    HPolytope,
+    LatticePointSet,
+    dilate,
+    frac_vec,
+    minkowski_sum,
+)
 from toricdeg.gromov import SimplexFit
 
 
@@ -145,6 +156,44 @@ def vertex_set_oracle(p: HPolytope):
             raise UnboundedError("unbounded")
         raise EmptyPolytopeError("empty")
     return tuple(cands)
+
+
+def lattice_points_oracle(p: HPolytope) -> LatticePointSet:
+    """Every point of the bounding box that the polytope contains."""
+    verts = p.vertex_set()
+    lo = [ceil(min(v[i] for v in verts)) for i in range(p.dim)]
+    hi = [floor(max(v[i] for v in verts)) for i in range(p.dim)]
+    pts = [cand for cand in product(*(range(lo[i], hi[i] + 1) for i in range(p.dim)))
+           if p.contains(cand)]
+    return LatticePointSet(p.dim, tuple(sorted(pts)))
+
+
+def is_normal_oracle(p: HPolytope, max_degree: int):
+    """`geometry.is_normal` without the degree cap: every degree
+    2..max_degree is compared with the m-fold Minkowski sum."""
+    base = lattice_points_oracle(p)
+    sums = base
+    for m in range(2, max_degree + 1):
+        sums = minkowski_sum(sums, base)
+        reachable = sums.as_set()
+        for pt in lattice_points_oracle(dilate(p, m)):
+            if pt not in reachable:
+                return (False, (m, pt))
+    return (True, None)
+
+
+def check_additivity(sg):
+    """Raise AssertionError unless level m1 + level m2 lies in level
+    m1 + m2 for every m1 + m2 <= max_level."""
+    for m1 in range(1, sg.max_level + 1):
+        for m2 in range(m1, sg.max_level - m1 + 1):
+            target = sg.levels[m1 + m2].as_set()
+            for p in sg.levels[m1]:
+                for q in sg.levels[m2]:
+                    s = tuple(a + b for a, b in zip(p, q))
+                    if s not in target:
+                        raise AssertionError(
+                            f"additivity violated: {p} + {q} missing at level {m1 + m2}")
 
 
 def sign_choice_vertices(b: BottData):

@@ -256,6 +256,21 @@ class TestQTrivial:
         assert verdicts == {True, False}
 
 
+def inverse_respects_relations(f: RingMap):
+    """The inverse on generators kills every relation x_i^2 + sum_j a_ij x_j x_i
+    of the target ring.  ring_map_check leaves this out: it follows from the
+    unimodularity and source-relation checks."""
+    g = f.inverse()
+    for i, xi in enumerate(g.images):
+        rel = xi * xi
+        for j, coef in enumerate(g.source.a[i]):
+            if coef:
+                rel = rel + (g.images[j] * xi).scaled(coef)
+        if not rel.is_zero():
+            return False
+    return True
+
+
 class TestRingMapCheck:
     def test_hirzebruch_isomorphism(self):
         src = hirz(0, (1, 3))
@@ -286,6 +301,41 @@ class TestRingMapCheck:
         # displacement between A=0 and A=1 is odd: no half-integer map exists
         with pytest.raises(MoveError):
             parametrized_move(hirz(0, (1, 3)), 1, 2, 1)
+
+    def test_inverse_half_fails_off_the_relations(self):
+        ring_s, ring_d = CohRing.of(hirz(0, (1, 3))), CohRing.of(hirz(4, (1, 5)))
+        f = RingMap.from_matrix(ring_s, ring_d, ((1, 0), (0, 1)))
+        assert not inverse_respects_relations(f)
+        assert not ring_map_check(f, ring_s, ring_d, omega_class(ring_s, (1, 3)),
+                                  omega_class(ring_d, (1, 5)))
+
+    def test_accepted_moves_and_decisions_invert(self, rng):
+        moves = []
+        for t in range(30):
+            n = 2 + t % 3
+            if t % 2:
+                b = scramble_bott(random_standard_bott(rng, n), rng, steps=3)
+            else:
+                b = random_bott_hypercube(rng, n)
+            for k in range(1, n + 1):
+                steps = [lambda: flip(b, k)]
+                for l in range(k + 1, n + 1):
+                    steps += [lambda l=l: elementary_move(b, k, l),
+                              lambda l=l: parametrized_move(
+                                  b, k, l, b.a[k - 1][l - 1] + 2 * rng.choice((-2, -1, 1, 2)))]
+                for step in steps:
+                    try:
+                        moves.append(step())
+                    except MoveError:
+                        pass
+        assert sum(mv.certified for mv in moves) > 20 and len(moves) > 60
+        for mv in moves:
+            assert inverse_respects_relations(mv.ring_map), (mv.kind, mv.params)
+        for t in range(9):
+            base = random_standard_bott(rng, 2 + t % 3)
+            dec = decide_symplectomorphic(scramble_bott(base, rng, steps=3),
+                                          scramble_bott(base, rng, steps=3))
+            assert dec.yes and inverse_respects_relations(dec.ring_map)
 
     def test_non_unimodular_rejected(self):
         # x1 -> 2 x1 descends in the untwisted ring but does not invert over Z

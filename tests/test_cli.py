@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricdeg import bott
+from toricdeg import bott, cli
 from toricdeg.cli import main
 
 RECT = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 3], [0, 3]]}
@@ -208,3 +208,25 @@ class TestExitCodes:
                                  "--k", "1", "--l", "2", "--c", "2"])
         assert code == 0
         assert rep["max_level"] == 2
+
+
+class TestParserReuse:
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("TORICDEG_MAX_LEVEL", raising=False)
+        p = write(tmp_path, "p.json", RECT)
+        target = tmp_path / "report.json"
+        assert main(["semigroup", "--polytope", p, "--k", "1", "--l", "2", "--c", "2",
+                     "--max-level", "2", "--output", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(target.read_text())["max_level"] == 2
+        # a parse error in between: the subcommand lacks its required option
+        assert main(["vertices"]) == 2
+        assert "--polytope" in capsys.readouterr().err
+        target.unlink()
+        code, rep = run(capsys, ["semigroup", "--polytope", p,
+                                 "--k", "1", "--l", "2", "--c", "2"])
+        assert code == 0 and not target.exists()
+        assert rep["max_level"] == cli.DEFAULT_MAX_LEVEL
+        code, rep = run(capsys, ["lattice-points", "--polytope", p])
+        assert code == 0 and rep["count"] == 8
+        assert cli.build_parser() is cli.build_parser()

@@ -1,0 +1,139 @@
+"""Differential tests: slab lattice point enumeration and the degree-capped
+normality check against the box-scan and uncapped oracles in oracles.py.
+
+Lattice points must agree on the exact point tuple, order included;
+normality on the exact (ok, witness) pair.
+"""
+
+import random
+from fractions import Fraction
+
+from toricdeg import geometry, hull
+from toricdeg.geometry import HPolytope, is_normal, lattice_points
+
+from conftest import corner_simplex, random_integral_polygon, unit_box
+from oracles import is_normal_oracle, lattice_points_oracle
+
+
+def rational(rng, lo=-5, hi=5):
+    q = rng.choice((1, 2, 3, 4))
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
+def assert_same_points(p):
+    got = lattice_points(p)
+    want = lattice_points_oracle(p)
+    assert got.points == want.points, p.halfspaces
+    return got
+
+
+def random_lattice_hull(rng, dim, box, count):
+    """Full-dimensional hull of random points of {0..box}^dim."""
+    while True:
+        pts = {tuple(rng.randint(0, box) for _ in range(dim)) for _ in range(count)}
+        p = hull(sorted(pts), dim)
+        if p.is_full_dimensional():
+            return p
+
+
+def reeve(r):
+    """Reeve tetrahedron conv(0, e1, e2, (1, 1, r)): no lattice points but
+    its vertices, not normal for r >= 2."""
+    return hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)])
+
+
+class TestLatticePointsAgainstOracle:
+    def test_rational_hulls_dims_1_to_4(self):
+        rng = random.Random(6101)
+        for dim, cases in ((1, 40), (2, 120), (3, 60), (4, 15)):
+            for _ in range(cases):
+                pts = [tuple(rational(rng) for _ in range(dim))
+                       for _ in range(rng.randint(dim + 1, dim + 5))]
+                assert_same_points(hull(pts, dim))
+
+    def test_lower_dimensional_hulls(self):
+        rng = random.Random(6102)
+        for _ in range(60):
+            dim = rng.randint(2, 4)
+            span = rng.randint(0, dim - 1)
+            x0 = tuple(rational(rng) for _ in range(dim))
+            dirs = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(span)]
+            pts = [tuple(x + sum(t * d[i] for t, d in zip(ts, dirs))
+                         for i, x in enumerate(x0))
+                   for ts in ([rational(rng, 0, 2) for _ in dirs] for _ in range(span + 3))]
+            p = hull(pts, dim)
+            assert not p.is_full_dimensional()
+            assert_same_points(p)
+        # integral points, segments and facets of boxes
+        assert assert_same_points(hull([(1, 2, 3)])).points == ((1, 2, 3),)
+        assert assert_same_points(hull([(0, 0), (4, 2)])).points == (
+            (0, 0), (2, 1), (4, 2))
+        assert len(assert_same_points(hull([(0, 0, 1), (2, 0, 1), (0, 3, 1)]))) == 7
+
+    def test_prefixes_with_empty_interval(self):
+        third = Fraction(1, 3)
+        sliver = hull([(0, 0), (4, 1), (4, 1 + third), (0, third)])
+        pts = assert_same_points(sliver)
+        assert pts.points == ((0, 0), (3, 1), (4, 1))     # x = 1, 2 are empty
+        # a 3-d slab tilted against the prefix box
+        tilted = hull([(0, 0, 0), (5, 0, 2), (0, 5, 2), (5, 5, 4),
+                       (0, 0, third), (5, 0, 2 + third), (0, 5, 2 + third),
+                       (5, 5, 4 + third)])
+        prefixes = {q[:2] for q in assert_same_points(tilted)}
+        assert 0 < len(prefixes) < 36      # the 6 x 6 prefix box has empty slabs
+        # no lattice point at all
+        empty = hull([(third, third), (2 * third, third), (third, 2 * third)])
+        assert len(assert_same_points(empty)) == 0
+
+    def test_fractional_right_hand_sides(self):
+        rng = random.Random(6103)
+        for _ in range(40):
+            dim = rng.randint(2, 3)
+            rows = []
+            for i in range(dim):
+                e = [0] * dim
+                e[i] = -1
+                rows.append(e + [rational(rng, 0, 2)])
+            rows.append([rng.randint(1, 3) for _ in range(dim)] + [rational(rng, 3, 6)])
+            last = rng.choice((-1, 1))
+            rows.append([rng.randint(-2, 2) for _ in range(dim - 1)]
+                        + [last, rational(rng, 1, 5)])
+            p = HPolytope.from_inequalities(dim, rows)
+            if not p.is_empty():
+                assert_same_points(p)
+
+
+class TestNormalityAgainstOracle:
+    def test_random_lattice_hulls_3d_4d(self):
+        rng = random.Random(6104)
+        verdicts = []
+        for dim, box, count, cases in ((3, 3, 4, 30), (3, 4, 5, 30), (4, 2, 5, 12),
+                                       (4, 3, 5, 12)):
+            for _ in range(cases):
+                p = random_lattice_hull(rng, dim, box, count)
+                want = is_normal_oracle(p, 4)
+                assert is_normal(p, 4) == want, p.vertex_set()
+                verdicts.append(want[0])
+        assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+    def test_reeve_tetrahedra(self):
+        for r in range(1, 7):
+            p = reeve(r)
+            assert is_normal(p, 4) == is_normal_oracle(p, 4)
+            assert is_normal(p, 4) == ((True, None) if r == 1 else (False, (2, (1, 1, 1))))
+            assert is_normal(geometry.dilate(p, 2), 4) == (True, None)
+
+    def test_smooth_bodies_agree(self):
+        for p in (unit_box([2, 1, 1]), corner_simplex(3, 2), corner_simplex(4, 1)):
+            assert is_normal(p, 4) == is_normal_oracle(p, 4) == (True, None)
+
+    def test_polygons_skip_enumeration(self, monkeypatch):
+        rng = random.Random(6105)
+        polygons = [random_integral_polygon(rng) for _ in range(5)]
+
+        def refuse(p):
+            raise AssertionError("polygons need no lattice points")
+
+        monkeypatch.setattr(geometry, "lattice_points", refuse)
+        for p in polygons:
+            assert is_normal(p, 5) == (True, None)

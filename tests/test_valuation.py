@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from toricdeg import dilate, hull, lattice_points
+from toricdeg import bott, dilate, hull, lattice_points
 from toricdeg.errors import (
     DependentBasisError,
+    MoveError,
     NotNormalError,
     ZeroPolynomialError,
 )
@@ -25,7 +26,8 @@ from toricdeg.valuation import (
     valuation_image,
 )
 
-from conftest import random_smooth_polytope, unit_box
+from conftest import random_bott_hypercube, random_smooth_polytope, unit_box
+from oracles import check_additivity
 
 D12 = SlideDirection(1, 2, 2)
 
@@ -193,6 +195,55 @@ class TestSemigroup:
         tall = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)])
         with pytest.raises(NotNormalError, match="dilate"):
             build_semigroup(tall, SlideDirection(1, 3, 1), 2)
+
+
+class TestAdditivityProperty:
+    """Level m1 plus level m2 lies in level m1 + m2: build_semigroup no
+    longer re-checks this at run time, normality implies it."""
+
+    def test_oracle_detects_a_gap(self):
+        levels = {0: LatticePointSet(2, ((0, 0),)),
+                  1: LatticePointSet(2, ((0, 0), (1, 0))),
+                  2: LatticePointSet(2, ((0, 0), (2, 0)))}
+        with pytest.raises(AssertionError, match="additivity"):
+            check_additivity(GradedSemigroup(2, levels, 2))
+
+    def test_delzant_polygons_and_3d_boxes(self):
+        rng = random.Random(6201)
+        for c in (1, 2, 3):
+            for _ in range(3):
+                check_additivity(build_semigroup(random_smooth_polytope(rng, 2),
+                                                 SlideDirection(1, 2, c), 6))
+            k = rng.randint(1, 2)
+            box = unit_box([rng.randint(1, 2), rng.randint(1, 2), 1])
+            check_additivity(build_semigroup(box, SlideDirection(k, rng.randint(k + 1, 3), c),
+                                             rng.randint(4, 6)))
+
+    def test_verify_move_semigroups(self, monkeypatch):
+        built = []
+
+        def capture(fn):
+            def wrapped(*args):
+                built.append(fn(*args))
+                return built[-1]
+            return wrapped
+
+        monkeypatch.setattr(bott, "build_semigroup", capture(bott.build_semigroup))
+        monkeypatch.setattr(bott, "slide_levels", capture(bott.slide_levels))
+        rng = random.Random(6202)
+        for n, level in ((2, 6), (3, 4)):
+            checked = 0
+            while checked < 8:
+                b = random_bott_hypercube(rng, n, entry_bound=1, lam_bound=2)
+                k = rng.randint(1, n - 1)
+                l = rng.randint(k + 1, n)
+                try:
+                    bott.verify_degeneration_move(b, k, l, c=rng.randint(0, 2),
+                                                  max_level=level)
+                except MoveError:
+                    continue
+                check_additivity(built[-1])
+                checked += 1
 
 
 class TestOkounkov:
