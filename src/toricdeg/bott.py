@@ -9,6 +9,11 @@ permutations reduces any rationally trivial datum to a canonical product of
 standard blocks, on which symplectomorphism is decidable by direct
 comparison.
 
+The decision path works in degrees <= 2, where x_p^2 = -sum_q A^p_q x_p x_q
+is the whole reduction: ring maps are their coefficient matrices, and linear
+classes u, v multiply to sum_{p<q} (u_p v_q + u_q v_p - u_p v_p A^p_q) x_p x_q
+(`_product`).
+
 Indices k, l in the public API are 1-based to match the inequality labels.
 """
 
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from . import linalg
@@ -110,17 +114,10 @@ class CohRing:
         # concurrent readers at worst duplicate a computation
         self._memo = {}
 
-    _cache = {}
-
     @staticmethod
     def of(b: BottData) -> "CohRing":
-        """Shared ring per presentation, so normal-form memos accumulate."""
-        key = (b.n, b.a)
-        ring = CohRing._cache.get(key)
-        if ring is None:
-            ring = CohRing(b.n, b.a)
-            CohRing._cache[key] = ring
-        return ring
+        """The ring of b's presentation."""
+        return CohRing(b.n, b.a)
 
     def __eq__(self, other):
         return isinstance(other, CohRing) and (self.n, self.a) == (other.n, other.a)
@@ -176,19 +173,6 @@ class CohRing:
             for m2, a2 in c2.coeffs.items():
                 exp = tuple(((m1 >> i) & 1) + ((m2 >> i) & 1) for i in range(self.n))
                 out = out + self.reduce_exponents(exp).scaled(a1 * a2)
-        return out
-
-    def relation_class(self, i) -> "CohClass":
-        """x_i^2 + sum_j A^i_j x_j x_i as an unreduced-then-reduced class."""
-        exp = tuple(2 if t == i - 1 else 0 for t in range(self.n))
-        out = self.reduce_exponents(exp)
-        for j in range(i, self.n):
-            coef = self.a[i - 1][j]
-            if coef == 0:
-                continue
-            exp = tuple((1 if t == i - 1 else 0) + (1 if t == j else 0)
-                        for t in range(self.n))
-            out = out + self.reduce_exponents(exp).scaled(Fraction(coef))
         return out
 
 
@@ -264,30 +248,30 @@ class ExceptionalType:
     c: int
 
 
+def _product(a, u, v):
+    """x_p x_q (p < q) coefficients of u * v for linear classes u, v."""
+    n = len(u)
+    return tuple(u[p] * v[q] + u[q] * v[p] - u[p] * v[p] * a[p][q]
+                 for p in range(n) for q in range(p + 1, n))
+
+
 def exceptional_type(b: BottData, k: int):
-    """Least l > k with alpha_k = c * y_l, or None."""
+    """Least l > k with alpha_k = c * y_l, or None: the integer test
+    -2 A^k = c (2 e_l + A^l), whose l-th entry forces c = -A^k_l."""
     row = b.a[k - 1]
-    if all(x == 0 for x in row):
+    if not any(row):
         return ExceptionalType("even", b.n + 1, 0)
-    ring = CohRing.of(b)
-    alpha = ring.linear_class([-x for x in row])
     for l in range(k + 1, b.n + 1):
         c = -row[l - 1]
-        if c == 0:
-            continue
-        _, y_l = special_elements(b, l)
-        if alpha == y_l.scaled(c):
+        if c and all(-2 * x == c * ((2 if j == l - 1 else 0) + b.a[l - 1][j])
+                     for j, x in enumerate(row)):
             return ExceptionalType("even" if c % 2 == 0 else "odd", l, c)
     return None
 
 
 def is_q_trivial(b: BottData) -> bool:
-    """Rational triviality: every alpha_k squares to zero."""
-    for k in range(1, b.n + 1):
-        alpha, _ = special_elements(b, k)
-        if not (alpha * alpha).is_zero():
-            return False
-    return True
+    """Rational triviality: every alpha_k = -A^k squares to zero."""
+    return not any(any(_product(b.a, row, row)) for row in b.a)
 
 
 # --- ring maps --------------------------------------------------------------
@@ -295,39 +279,35 @@ def is_q_trivial(b: BottData) -> bool:
 
 @dataclass(frozen=True)
 class RingMap:
-    """Generator images of a degree-preserving map between presentations."""
+    """Degree-preserving map between presentations, stored as its coefficient
+    matrix m (row i is the image of x_i).  The decision path works in degrees
+    <= 2: composition is the matrix product, and images multiply by
+    `_product` (u_p v_q + u_q v_p - u_p v_p A^p_q on x_p x_q)."""
 
     source: CohRing
     target: CohRing
-    images: tuple
+    m: tuple
 
-    @staticmethod
-    def from_matrix(source, target, m):
-        images = tuple(target.linear_class(row) for row in m)
-        return RingMap(source, target, images)
+    def __post_init__(self):
+        object.__setattr__(self, "m", tuple(map(tuple, self.m)))
+
+    @property
+    def images(self):
+        return tuple(self.target.linear_class(row) for row in self.m)
 
     def matrix(self):
-        """Coefficient matrix of the generator images; raises on non-linear maps."""
-        out = []
-        for img in self.images:
-            row = [Fraction(0)] * self.target.n
-            for mask, c in img.coeffs.items():
-                idx = mask.bit_length() - 1
-                if mask != (1 << idx):
-                    raise ValueError("image is not linear in the generators")
-                row[idx] = c
-            out.append(tuple(row))
-        return tuple(out)
+        return self.m
 
     def apply(self, cls: CohClass) -> CohClass:
         if cls.ring != self.source:
             raise ValueError("class does not live in the source ring")
+        images = self.images
         out = self.target.zero()
         for mask, coef in cls.coeffs.items():
             term = self.target.one()
             for i in range(self.source.n):
                 if (mask >> i) & 1:
-                    term = term * self.images[i]
+                    term = term * images[i]
             out = out + term.scaled(coef)
         return out
 
@@ -335,45 +315,36 @@ class RingMap:
         """x -> after(self(x))."""
         if self.target != after.source:
             raise ValueError("maps do not compose")
-        images = tuple(after.apply(img) for img in self.images)
-        return RingMap(self.source, after.target, images)
+        return RingMap(self.source, after.target, linalg.mat_mul(self.m, after.m))
 
     def inverse(self) -> "RingMap":
         """Inverse on generators; requires a unimodular coefficient matrix."""
-        m = self.matrix()
-        det = linalg.mat_det(m)
-        if abs(det) != 1:
+        if abs(linalg.mat_det(self.m)) != 1:
             raise ValueError("map is not invertible over the integers")
-        minv = linalg.mat_inverse(m)
-        return RingMap.from_matrix(self.target, self.source, minv)
+        return RingMap(self.target, self.source, linalg.mat_inverse(self.m))
 
     @staticmethod
     def identity(ring) -> "RingMap":
-        return RingMap.from_matrix(ring, ring, linalg.identity(ring.n))
+        return RingMap(ring, ring, linalg.identity(ring.n))
 
 
 def ring_map_check(f: RingMap, source: CohRing, target: CohRing,
                    omega: CohClass, omega_t: CohClass) -> bool:
     """Does f descend, invert over Z, and carry omega to omega_t exactly?
+    All in degrees <= 2: f kills relation i iff f(x_i) (f(x_i) + sum_j A^i_j
+    f(x_j)) = 0, i.e. `_product(target.a, m_i, ((I + A_source) m)_i)` is zero,
+    `_product` giving u_p v_q + u_q v_p - u_p v_p A^p_q on x_p x_q.
     A unimodular f that respects the source relations maps onto a free
     Z-module of the same rank 2^n, so it is an isomorphism: no inverse check."""
-    try:
-        m = f.matrix()
-    except ValueError:
-        return False
+    m = f.m
     if any(c.denominator != 1 for row in m for c in row):
         return False
     if abs(linalg.mat_det(m)) != 1:
         return False
-    for i in range(1, source.n + 1):
-        xi = f.images[i - 1]
-        rel = xi * xi
-        for j in range(source.n):
-            coef = source.a[i - 1][j]
-            if coef:
-                rel = rel + (f.images[j] * xi).scaled(coef)
-        if not rel.is_zero():
-            return False
+    am = linalg.mat_mul(source.a, m)
+    if any(any(_product(target.a, mi, linalg.vec_add(mi, ami)))
+           for mi, ami in zip(m, am)):
+        return False
     return f.apply(omega) == omega_t
 
 
@@ -432,7 +403,7 @@ def parametrized_move(b: BottData, k: int, l: int, target_entry: int) -> Move:
     target = CohRing.of(data)
     m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
     m[k - 1][l - 1] = shift
-    f = RingMap.from_matrix(source, target, m)
+    f = RingMap(source, target, m)
     if not ring_map_check(f, source, target, omega_class(source, b.lam),
                           omega_class(target, data.lam)):
         raise MoveError(
@@ -478,7 +449,7 @@ def flip(b: BottData, k: int) -> Move:
     m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
     for j in range(ki + 1, b.n):
         m[ki][j] = -b.a[ki][j]
-    f = RingMap.from_matrix(CohRing.of(b), CohRing.of(data), m)
+    f = RingMap(CohRing.of(b), CohRing.of(data), m)
     return Move("flip", (k,), data, f, True)
 
 
@@ -500,7 +471,7 @@ def permutation_move(b: BottData, perm) -> Move:
                 rows[perm[i]][perm[j]] = b.a[i][j]
     data = BottData.make(rows, lam)
     m = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-    f = RingMap.from_matrix(CohRing.of(b), CohRing.of(data), m)
+    f = RingMap(CohRing.of(b), CohRing.of(data), m)
     return Move("permute", tuple(perm), data, f, True)
 
 
@@ -740,26 +711,3 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
         levels.append((m, level_ok, detail))
     return MoveVerification(b, move.result, direction, tuple(levels), all_pass,
                             dilated_by)
-
-
-def primitive_square_zero(ring: CohRing, bound: int = 3):
-    """All primitive integer degree-one classes squaring to zero.
-
-    Brute force over coefficient vectors with entries in [-bound, bound];
-    for a standard block product the answer is the closed-form list of
-    2n classes (the terminal generator and 2 x_i - terminal per block, with
-    signs).
-    """
-    out = []
-    for coeffs in product(range(-bound, bound + 1), repeat=ring.n):
-        if all(c == 0 for c in coeffs):
-            continue
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        if g != 1:
-            continue
-        z = ring.linear_class(coeffs)
-        if (z * z).is_zero():
-            out.append(z)
-    return out

@@ -23,7 +23,6 @@ from .errors import (
     EmptyPolytopeError,
     LowerDimensionalError,
     NotIntegralError,
-    NotSmoothError,
     UnboundedError,
 )
 
@@ -444,25 +443,3 @@ def is_delzant_smooth(p: HPolytope):
         if abs(linalg.mat_det(dirs)) != 1:
             return (False, v)
     return (True, None)
-
-
-def normalize_at_vertex(p: HPolytope, v):
-    """Affine-unimodular image placing vertex v at the origin, edges on axes.
-
-    Returns (image, (matrix, translation)) with image = matrix @ p + t.
-    """
-    v = frac_vec(v)
-    adj = _edges_at_vertices(p)
-    if v not in adj:
-        raise ValueError(f"{v} is not a vertex of the polytope")
-    # Pair each edge with the axis of its leading coordinate: axis-aligned
-    # corners then get the identity and opposite box corners get -identity.
-    dirs = sorted((linalg.primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]),
-                  key=lambda d: (next(i for i, x in enumerate(d) if x), d))
-    if len(dirs) != p.dim or abs(linalg.mat_det(linalg.transpose(dirs))) != 1:
-        raise NotSmoothError(f"vertex {v} is not smooth")
-    u = linalg.transpose(dirs)              # columns are edge directions
-    m = linalg.mat_inverse(u)
-    m = tuple(tuple(int(x) for x in row) for row in m)
-    t = tuple(-x for x in linalg.mat_vec(m, v))
-    return p.affine_unimodular_image(m, t), (m, t)

@@ -191,10 +191,7 @@ def slide(s: LatticePointSet, d: SlideDirection) -> LatticePointSet:
             q[k] -= a
             q[l] += d.c * a
             out.append(tuple(q))
-    result = LatticePointSet.make(s.dim, out)
-    if len(result) != len(s):
-        raise AssertionError("slide must preserve cardinality")
-    return result
+    return LatticePointSet(s.dim, tuple(sorted(out)))
 
 
 @dataclass(frozen=True)
@@ -216,14 +213,6 @@ def _check_normalized_at_origin(p: HPolytope):
         raise ValueError("polytope must have a vertex at the origin")
     if any(x < 0 for v in verts for x in v):
         raise ValueError("polytope must lie in the nonnegative orthant")
-
-
-def identity_semigroup(p: HPolytope, max_level: int) -> GradedSemigroup:
-    """Semigroup of the trivial (no-op) degeneration: plain dilate levels."""
-    levels = {0: LatticePointSet(p.dim, ((0,) * p.dim,))}
-    for m in range(1, max_level + 1):
-        levels[m] = lattice_points(dilate(p, m))
-    return GradedSemigroup(p.dim, levels, max_level)
 
 
 def slide_levels(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSemigroup:

@@ -7,12 +7,15 @@ run is reproducible.
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
-from toricdeg import hull, lattice_points
+from toricdeg import dilate, hull, lattice_points, linalg
 from toricdeg.bott import BottData, bott_polytope, is_hypercube
-from toricdeg.geometry import HPolytope
+from toricdeg.errors import NotSmoothError
+from toricdeg.geometry import HPolytope, LatticePointSet, _edges_at_vertices, frac_vec
+from toricdeg.valuation import GradedSemigroup
 
 
 def unit_box(dims):
@@ -142,6 +145,73 @@ def brute_force_decomposition(point, base_points, m):
         if brute_force_decomposition(rest, base_points, m - 1):
             return True
     return False
+
+
+def relation_class(ring, i):
+    """x_i^2 + sum_j A^i_j x_j x_i as an unreduced-then-reduced class."""
+    exp = tuple(2 if t == i - 1 else 0 for t in range(ring.n))
+    out = ring.reduce_exponents(exp)
+    for j in range(i, ring.n):
+        coef = ring.a[i - 1][j]
+        if coef == 0:
+            continue
+        exp = tuple((1 if t == i - 1 else 0) + (1 if t == j else 0)
+                    for t in range(ring.n))
+        out = out + ring.reduce_exponents(exp).scaled(Fraction(coef))
+    return out
+
+
+def primitive_square_zero(ring, bound=3):
+    """All primitive integer degree-one classes squaring to zero.
+
+    Brute force over coefficient vectors with entries in [-bound, bound];
+    for a standard block product the answer is the closed-form list of
+    2n classes (the terminal generator and 2 x_i - terminal per block, with
+    signs).
+    """
+    out = []
+    for coeffs in product(range(-bound, bound + 1), repeat=ring.n):
+        if all(c == 0 for c in coeffs):
+            continue
+        g = 0
+        for c in coeffs:
+            g = gcd(g, abs(c))
+        if g != 1:
+            continue
+        z = ring.linear_class(coeffs)
+        if (z * z).is_zero():
+            out.append(z)
+    return out
+
+
+def identity_semigroup(p, max_level):
+    """Semigroup of the trivial (no-op) degeneration: plain dilate levels."""
+    levels = {0: LatticePointSet(p.dim, ((0,) * p.dim,))}
+    for m in range(1, max_level + 1):
+        levels[m] = lattice_points(dilate(p, m))
+    return GradedSemigroup(p.dim, levels, max_level)
+
+
+def normalize_at_vertex(p, v):
+    """Affine-unimodular image placing vertex v at the origin, edges on axes.
+
+    Returns (image, (matrix, translation)) with image = matrix @ p + t.
+    """
+    v = frac_vec(v)
+    adj = _edges_at_vertices(p)
+    if v not in adj:
+        raise ValueError(f"{v} is not a vertex of the polytope")
+    # Pair each edge with the axis of its leading coordinate: axis-aligned
+    # corners then get the identity and opposite box corners get -identity.
+    dirs = sorted((linalg.primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]),
+                  key=lambda d: (next(i for i, x in enumerate(d) if x), d))
+    if len(dirs) != p.dim or abs(linalg.mat_det(linalg.transpose(dirs))) != 1:
+        raise NotSmoothError(f"vertex {v} is not smooth")
+    u = linalg.transpose(dirs)              # columns are edge directions
+    m = linalg.mat_inverse(u)
+    m = tuple(tuple(int(x) for x in row) for row in m)
+    t = tuple(-x for x in linalg.mat_vec(m, v))
+    return p.affine_unimodular_image(m, t), (m, t)
 
 
 @pytest.fixture

@@ -1,19 +1,23 @@
 """Slow generic oracles for the polytope kernel, lattice points and
-normality, the Bott cube test, the simplex search and Fourier-Motzkin
-elimination.
+normality, the slide, the Bott cube test and ring-map checks, the simplex
+search and Fourier-Motzkin elimination.
 
 These are the exhaustive algorithms the library used before the
 double-description kernel: facets from every dim-subset of points, vertices
 from every n-subset of facets, and boundedness from every (n-1)-subset of
 normals.  Lattice points come from a scan of the whole bounding box with an
 exact membership test per point, normality from Minkowski sums at every
-degree up to the bound, and the additivity of semigroup levels from every
-point pair.  The Bott cube oracle is the generic geometric test that preceded
-the fibration criterion.  The simplex-search oracle solves one LP per
-unimodular candidate, found by a Fraction determinant, where the library
-solves one per facet-load vector; the elimination oracle normalizes every
-derived row through the Fraction lcm path.  They are kept only to check the
-production code against; all of them are exponential in the dimension.
+degree up to the bound, the additivity of semigroup levels from every
+point pair, and the slide from a rebuilt, re-counted point set.  The Bott
+cube oracle is the generic geometric test that preceded the fibration
+criterion.  The q-triviality, exceptional-type, composition and ring-map
+oracles multiply ring classes through the general normal form, where the
+library reads closed degree-2 forms off the matrices.  The simplex-search
+oracle solves one LP per unimodular candidate, found by a Fraction
+determinant, where the library solves one per facet-load vector; the
+elimination oracle normalizes every derived row through the Fraction lcm
+path.  They are kept only to check the production code against; all of
+them are exponential in the dimension.
 """
 
 from fractions import Fraction
@@ -22,7 +26,7 @@ from math import ceil, floor, gcd
 from unittest import mock
 
 from toricdeg import linalg
-from toricdeg.bott import BottData, bott_polytope
+from toricdeg.bott import BottData, ExceptionalType, RingMap, bott_polytope, special_elements
 from toricdeg.errors import EmptyPolytopeError, UnboundedError
 from toricdeg.geometry import (
     HalfSpace,
@@ -33,6 +37,7 @@ from toricdeg.geometry import (
     minkowski_sum,
 )
 from toricdeg.gromov import SimplexFit
+from toricdeg.valuation import SlideDirection
 
 
 def _hull_full_dim(points, dim):
@@ -196,6 +201,33 @@ def check_additivity(sg):
                             f"additivity violated: {p} + {q} missing at level {m1 + m2}")
 
 
+def slide_oracle(s: LatticePointSet, d: SlideDirection) -> LatticePointSet:
+    """`valuation.slide` rebuilt through `LatticePointSet.make` with the
+    cardinality re-checked."""
+    if any(x < 0 for p in s for x in p):
+        raise ValueError("slide requires points in the nonnegative orthant")
+    if d.l > s.dim:
+        raise ValueError("direction indices exceed dimension")
+    k = d.k - 1
+    l = d.l - 1
+    lines = {}
+    for p in s:
+        key = tuple(x for i, x in enumerate(p) if i not in (k, l)) + (d.c * p[k] + p[l],)
+        lines.setdefault(key, []).append(p)
+    out = []
+    for group in lines.values():
+        a = min(p[k] for p in group)
+        for p in group:
+            q = list(p)
+            q[k] -= a
+            q[l] += d.c * a
+            out.append(tuple(q))
+    result = LatticePointSet.make(s.dim, out)
+    if len(result) != len(s):
+        raise AssertionError("slide must preserve cardinality")
+    return result
+
+
 def sign_choice_vertices(b: BottData):
     """Candidate vertex for each lower/upper facet choice (forward solve)."""
     verts = []
@@ -228,6 +260,74 @@ def is_hypercube_oracle(b: BottData) -> bool:
         if b.n > 1 and (not diffs or linalg.mat_rank(diffs) != b.n - 1):
             return False
     return True
+
+
+def exceptional_type_oracle(b: BottData, k: int):
+    """Least l > k with alpha_k = c * y_l compared as ring classes."""
+    row = b.a[k - 1]
+    if all(x == 0 for x in row):
+        return ExceptionalType("even", b.n + 1, 0)
+    alpha, _ = special_elements(b, k)
+    for l in range(k + 1, b.n + 1):
+        c = -row[l - 1]
+        if c == 0:
+            continue
+        _, y_l = special_elements(b, l)
+        if alpha == y_l.scaled(c):
+            return ExceptionalType("even" if c % 2 == 0 else "odd", l, c)
+    return None
+
+
+def is_q_trivial_oracle(b: BottData) -> bool:
+    """Every alpha_k squares to zero in the ring."""
+    for k in range(1, b.n + 1):
+        alpha, _ = special_elements(b, k)
+        if not (alpha * alpha).is_zero():
+            return False
+    return True
+
+
+def linear_matrix(images, n):
+    """Coefficient rows of classes that must be linear in the generators."""
+    out = []
+    for img in images:
+        row = [Fraction(0)] * n
+        for mask, c in img.coeffs.items():
+            idx = mask.bit_length() - 1
+            if mask != (1 << idx):
+                raise ValueError("image is not linear in the generators")
+            row[idx] = c
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def compose_oracle(f: RingMap, after: RingMap) -> RingMap:
+    """x -> after(self(x)) by applying `after` to each image class."""
+    if f.target != after.source:
+        raise ValueError("maps do not compose")
+    images = tuple(after.apply(img) for img in f.images)
+    return RingMap(f.source, after.target, linear_matrix(images, after.target.n))
+
+
+def ring_map_check_oracle(f: RingMap, source, target, omega, omega_t) -> bool:
+    """`bott.ring_map_check` with each source relation multiplied out as a
+    ring class on the generator images."""
+    images = f.images
+    m = linear_matrix(images, f.target.n)
+    if any(c.denominator != 1 for row in m for c in row):
+        return False
+    if abs(linalg.mat_det(m)) != 1:
+        return False
+    for i in range(1, source.n + 1):
+        xi = images[i - 1]
+        rel = xi * xi
+        for j in range(source.n):
+            coef = source.a[i - 1][j]
+            if coef:
+                rel = rel + (images[j] * xi).scaled(coef)
+        if not rel.is_zero():
+            return False
+    return f.apply(omega) == omega_t
 
 
 def unimodular_candidates_oracle(n, bound):

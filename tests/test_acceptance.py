@@ -41,6 +41,7 @@ from conftest import (
     random_bott_hypercube,
     random_integral_polygon,
     random_standard_bott,
+    relation_class,
     scramble_bott,
     unit_box,
 )
@@ -186,7 +187,7 @@ def test_criterion_7_bott_ring_identities():
             seen.add(mask)
         assert len(seen) == 2 ** n
         for i in range(1, n + 1):
-            assert ring.relation_class(i).is_zero()
+            assert relation_class(ring, i).is_zero()
         b = BottData.make(rows, [1] * n)
         for k in range(1, n + 1):
             alpha, y = special_elements(b, k)

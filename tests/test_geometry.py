@@ -12,7 +12,6 @@ from toricdeg import (
     is_normal,
     lattice_points,
     minkowski_sum,
-    normalize_at_vertex,
     vertices,
 )
 from toricdeg.errors import (
@@ -23,7 +22,12 @@ from toricdeg.errors import (
 )
 from toricdeg.geometry import HalfSpace
 
-from conftest import brute_force_decomposition, random_integral_polygon, unit_box
+from conftest import (
+    brute_force_decomposition,
+    normalize_at_vertex,
+    random_integral_polygon,
+    unit_box,
+)
 
 
 def fr(x):

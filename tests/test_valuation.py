@@ -19,15 +19,19 @@ from toricdeg.valuation import (
     check_cone_condition,
     check_saturation,
     expand_monomial,
-    identity_semigroup,
     lowest_term,
     okounkov_approx,
     slide,
     valuation_image,
 )
 
-from conftest import random_bott_hypercube, random_smooth_polytope, unit_box
-from oracles import check_additivity
+from conftest import (
+    identity_semigroup,
+    random_bott_hypercube,
+    random_smooth_polytope,
+    unit_box,
+)
+from oracles import check_additivity, slide_oracle
 
 D12 = SlideDirection(1, 2, 2)
 
@@ -157,6 +161,21 @@ class TestSlide:
             via_slide = slide(pts, d)
             via_valuation = valuation_image([expand_monomial(a, d) for a in pts])
             assert via_slide == via_valuation
+
+    def test_matches_rebuilding_oracle(self):
+        rng = random.Random(61)
+        for t in range(60):
+            dim = 2 + t % 3
+            pts = {tuple(rng.randint(0, 4) for _ in range(dim))
+                   for _ in range(rng.randint(1, 30))}
+            s = LatticePointSet.make(dim, pts)
+            for k in range(1, dim + 1):
+                for l in range(k + 1, dim + 1):
+                    for c in range(4):
+                        d = SlideDirection(k, l, c)
+                        got = slide(s, d)
+                        assert got.points == slide_oracle(s, d).points, (s, d)
+                        assert len(got) == len(s)
 
 
 class TestSemigroup:
