@@ -32,7 +32,7 @@ from .geometry import (
     is_normal,
     lattice_points,
 )
-from .valuation import SlideDirection, build_semigroup, slide_levels
+from .valuation import SlideDirection, slide_levels
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,10 @@ def ring_map_check(f: RingMap, source: CohRing, target: CohRing,
     f(x_j)) = 0, i.e. `_product(target.a, m_i, ((I + A_source) m)_i)` is zero,
     `_product` giving u_p v_q + u_q v_p - u_p v_p A^p_q on x_p x_q.
     A unimodular f that respects the source relations maps onto a free
-    Z-module of the same rank 2^n, so it is an isomorphism: no inverse check."""
+    Z-module of the same rank 2^n, so it is an isomorphism: no inverse check.
+    Omega must be linear; its image is w m for its coefficient row w."""
+    if omega.degree() != 1 or omega_t.degree() != 1:
+        raise ValueError("omega must be a degree-1 class")
     m = f.m
     if any(c.denominator != 1 for row in m for c in row):
         return False
@@ -345,7 +348,8 @@ def ring_map_check(f: RingMap, source: CohRing, target: CohRing,
     if any(any(_product(target.a, mi, linalg.vec_add(mi, ami)))
            for mi, ami in zip(m, am)):
         return False
-    return f.apply(omega) == omega_t
+    w = [omega.coeffs.get(1 << i, 0) for i in range(source.n)]
+    return target.linear_class(linalg.mat_vec(linalg.transpose(m), w)) == omega_t
 
 
 # --- degeneration moves ------------------------------------------------------
@@ -664,7 +668,16 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
     lattice points must equal the lattice points of the dilated target.
     When the smaller-side polytope is not normal up to max_level both sides
     are dilated by n - 1 first, which restores normality.
+
+    The data must be a combinatorial cube (else MoveError) with integral
+    lengths (else `is_normal` raises NotIntegralError).  Its polytope is then
+    integral, Delzant (the rows tight at a vertex are triangular with a +-1
+    diagonal) and in the orthant with the origin vertex, and its dilate by
+    n - 1 is normal (Bruns, Gubeladze and Trung 1997), so the slide levels
+    need no re-validation by `build_semigroup`.
     """
+    if not is_hypercube(b):
+        raise MoveError("verification requires combinatorial-hypercube data")
     entry = b.a[k - 1][l - 1]
     if c is None:
         move = elementary_move(b, k, l)
@@ -687,15 +700,12 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
     ok, _ = is_normal(poly_small, max_level)
     if not ok:
         dilated_by = b.n - 1
-        small = small.scaled(dilated_by)
         big = big.scaled(dilated_by)
-        poly_small = bott_polytope(small)
+        poly_small = dilate(poly_small, dilated_by)
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     direction = SlideDirection(k, l, c)
-    # Sum-zero pairs (c = 0, target = -entry) are related by a facet swap,
-    # not a flat family; the wall slide still realizes the same level-by-
-    # level lattice correspondence and is used as the counting device.
-    build = slide_levels if c == 0 else build_semigroup
-    sg = build(poly_small, direction, max_level)
+    sg = slide_levels(poly_small, direction, max_level)
     poly_big = bott_polytope(big)
     levels = []
     all_pass = True

@@ -5,7 +5,8 @@ sides; V-polytopes and lattice point sets are canonically sorted tuples.  All
 predicates run in exact arithmetic, there is no floating point anywhere.
 
 Both representation conversions (vertex enumeration H->V and convex hull
-V->H) and the boundedness test run on one integer double-description kernel,
+V->H), the boundedness test and Delzant smoothness (edges as the extreme rays
+of each vertex's tangent cone) run on one integer double-description kernel,
 `_extreme_rays`.  Lattice point enumeration scans the bounding box by slabs;
 it is a documented desk-scale choice (dimension <= 8).
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
@@ -409,37 +410,20 @@ def is_normal(p: HPolytope, max_degree: int):
     return (True, None)
 
 
-def _edges_at_vertices(p: HPolytope):
-    """Map vertex -> list of adjacent vertices (shared active set rank n-1)."""
-    verts = p.vertex_set()
-    active = []
-    for v in verts:
-        active.append({i for i, h in enumerate(p.halfspaces) if h.value(v) == h.rhs})
-    adj = {v: [] for v in verts}
-    for (i, v), (j, w) in combinations(enumerate(verts), 2):
-        common = [p.halfspaces[k].normal for k in active[i] & active[j]]
-        if not common:
-            continue
-        if linalg.mat_rank(common) == p.dim - 1:
-            adj[v].append(w)
-            adj[w].append(v)
-    return adj
-
-
 def is_delzant_smooth(p: HPolytope):
     """Primitive edge directions at every vertex form a Z-basis.
 
-    Returns (True, None) or (False, offending_vertex).
+    The edges at v are the extreme rays of its tangent cone {d : <u, d> <= 0
+    for every row u tight at v}, exact with redundant rows or non-simple
+    vertices.  Returns (True, None) or (False, first offending vertex).
     """
     if not p.is_bounded():
         raise UnboundedError("unbounded")
     if not p.is_full_dimensional():
         raise LowerDimensionalError("smoothness requires a full-dimensional polytope")
-    adj = _edges_at_vertices(p)
-    for v in sorted(adj):
-        dirs = [linalg.primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]]
-        if len(dirs) != p.dim:
-            return (False, v)
-        if abs(linalg.mat_det(dirs)) != 1:
+    for v in p.vertex_set():
+        tight = [tuple(-a for a in h.normal) for h in p.halfspaces if h.value(v) == h.rhs]
+        rays = _extreme_rays(tight, p.dim)
+        if len(rays) != p.dim or abs(linalg.int_det(rays)) != 1:
             return (False, v)
     return (True, None)

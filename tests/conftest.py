@@ -14,8 +14,10 @@ import pytest
 from toricdeg import dilate, hull, lattice_points, linalg
 from toricdeg.bott import BottData, bott_polytope, is_hypercube
 from toricdeg.errors import NotSmoothError
-from toricdeg.geometry import HPolytope, LatticePointSet, _edges_at_vertices, frac_vec
+from toricdeg.geometry import HPolytope, LatticePointSet, frac_vec
 from toricdeg.valuation import GradedSemigroup
+
+from oracles import edges_at_vertices
 
 
 def unit_box(dims):
@@ -198,7 +200,7 @@ def normalize_at_vertex(p, v):
     Returns (image, (matrix, translation)) with image = matrix @ p + t.
     """
     v = frac_vec(v)
-    adj = _edges_at_vertices(p)
+    adj = edges_at_vertices(p)
     if v not in adj:
         raise ValueError(f"{v} is not a vertex of the polytope")
     # Pair each edge with the axis of its leading coordinate: axis-aligned

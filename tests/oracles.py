@@ -7,8 +7,9 @@ double-description kernel: facets from every dim-subset of points, vertices
 from every n-subset of facets, and boundedness from every (n-1)-subset of
 normals.  Lattice points come from a scan of the whole bounding box with an
 exact membership test per point, normality from Minkowski sums at every
-degree up to the bound, the additivity of semigroup levels from every
-point pair, and the slide from a rebuilt, re-counted point set.  The Bott
+degree up to the bound, Delzant smoothness from edges found by a scan of
+every vertex pair, the additivity of semigroup levels from every point
+pair, and the slide from a rebuilt, re-counted point set.  The Bott
 cube oracle is the generic geometric test that preceded the fibration
 criterion.  The q-triviality, exceptional-type, composition and ring-map
 oracles multiply ring classes through the general normal form, where the
@@ -27,7 +28,7 @@ from unittest import mock
 
 from toricdeg import linalg
 from toricdeg.bott import BottData, ExceptionalType, RingMap, bott_polytope, special_elements
-from toricdeg.errors import EmptyPolytopeError, UnboundedError
+from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, UnboundedError
 from toricdeg.geometry import (
     HalfSpace,
     HPolytope,
@@ -184,6 +185,39 @@ def is_normal_oracle(p: HPolytope, max_degree: int):
         for pt in lattice_points_oracle(dilate(p, m)):
             if pt not in reachable:
                 return (False, (m, pt))
+    return (True, None)
+
+
+def edges_at_vertices(p: HPolytope):
+    """Map vertex -> list of adjacent vertices: two vertices span an edge
+    when the rows tight at both have rank dim - 1."""
+    verts = p.vertex_set()
+    active = []
+    for v in verts:
+        active.append({i for i, h in enumerate(p.halfspaces) if h.value(v) == h.rhs})
+    adj = {v: [] for v in verts}
+    for (i, v), (j, w) in combinations(enumerate(verts), 2):
+        common = [p.halfspaces[k].normal for k in active[i] & active[j]]
+        if not common:
+            continue
+        if linalg.mat_rank(common) == p.dim - 1:
+            adj[v].append(w)
+            adj[w].append(v)
+    return adj
+
+
+def is_delzant_smooth_oracle(p: HPolytope):
+    """`geometry.is_delzant_smooth` from the pairwise vertex scan: the
+    primitive directions to the adjacent vertices must form a Z-basis."""
+    if not p.is_bounded():
+        raise UnboundedError("unbounded")
+    if not p.is_full_dimensional():
+        raise LowerDimensionalError("smoothness requires a full-dimensional polytope")
+    adj = edges_at_vertices(p)
+    for v in sorted(adj):
+        dirs = [linalg.primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]]
+        if len(dirs) != p.dim or abs(linalg.mat_det(dirs)) != 1:
+            return (False, v)
     return (True, None)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricdeg import hull, linalg
+from toricdeg import dilate, hull, is_delzant_smooth, is_normal, lattice_points, linalg
 from toricdeg.bott import (
     BottData,
     CohRing,
@@ -25,7 +25,7 @@ from toricdeg.bott import (
     standard_form,
     verify_degeneration_move,
 )
-from toricdeg.errors import MoveError, NotQTrivialError
+from toricdeg.errors import MoveError, NotIntegralError, NotQTrivialError
 from toricdeg.valuation import SlideDirection, build_semigroup, check_cone_condition
 
 from conftest import (
@@ -747,6 +747,52 @@ class TestVerifyMove:
         assert rep.target.a == ((0, 0, 0), (0, 0, 0), (0, 0, 0))
         assert rep.target.lam == (Fraction(1), Fraction(1), Fraction(4))
         assert rep.slide.c == 1
+
+    def test_non_cube_rejected(self):
+        # A^1_2 = 2 with lengths (1, 2) collapses the facet p_1 = 1; the
+        # move data is no tower, so there is nothing to verify
+        b = hirz(2, (1, 2))
+        assert not is_hypercube(b)
+        for c in (1, 2):
+            with pytest.raises(MoveError, match="combinatorial-hypercube"):
+                verify_degeneration_move(b, 1, 2, c=c, max_level=3)
+
+    def test_rational_lengths_rejected(self):
+        for c in (0, 1):
+            with pytest.raises(NotIntegralError):
+                verify_degeneration_move(hirz(0, (Fraction(1, 2), 3)), 1, 2, c=c,
+                                         max_level=2)
+
+    def test_max_level_below_one_rejected(self):
+        for c in (0, 1, 2):
+            with pytest.raises(ValueError, match="max_level"):
+                verify_degeneration_move(hirz(0, (1, 3)), 1, 2, c=c, max_level=0)
+
+    def test_bott_polytopes_need_no_revalidation(self):
+        """What `build_semigroup` would re-check holds for every cube with
+        integral lengths: the polytope and its (n - 1)-dilate are integral,
+        have the origin vertex, lie in the orthant and are Delzant, and the
+        dilate is normal.  In dimension 4 normality is checked in degree 2
+        on dilates with at most 1000 lattice points, to keep the test fast."""
+        rng = random.Random(8801)
+        normal_4d = 0
+        for t in range(30):
+            n = 2 + t % 3
+            b = random_bott_hypercube(rng, n, entry_bound=1, lam_bound=2 if n == 2 else 1)
+            poly = bott_polytope(b)
+            big = dilate(poly, n - 1)
+            for q in (poly, big):
+                verts = q.vertex_set()
+                assert q.is_integral()
+                assert (Fraction(0),) * n in verts
+                assert all(x >= 0 for v in verts for x in v)
+                assert is_delzant_smooth(q) == (True, None)
+            if n < 4:
+                assert is_normal(big, n - 1) == (True, None)
+            elif len(lattice_points(big)) <= 1000:
+                assert is_normal(big, 2) == (True, None)
+                normal_4d += 1
+        assert normal_4d >= 3
 
 
 class TestLargerTowers:

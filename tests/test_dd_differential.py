@@ -2,8 +2,9 @@
 subset-enumeration oracles in oracles.py.
 
 Hulls must agree on the exact canonical halfspace tuple, vertex enumeration
-on the exact vertex tuple or on the exception class raised, and the
-boundedness test on its verdict.
+on the exact vertex tuple or on the exception class raised, the boundedness
+test on its verdict, and Delzant smoothness (tangent-cone rays against the
+pairwise edge scan) on the (verdict, vertex) pair or the exception class.
 """
 
 import random
@@ -12,11 +13,13 @@ from itertools import product
 
 import pytest
 
-from toricdeg import hull
-from toricdeg.errors import EmptyPolytopeError, UnboundedError
-from toricdeg.geometry import HPolytope
+from toricdeg import hull, is_delzant_smooth
+from toricdeg.bott import bott_polytope
+from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, UnboundedError
+from toricdeg.geometry import HalfSpace, HPolytope
 
-from oracles import hull_oracle, recession_trivial, vertex_set_oracle
+from conftest import random_bott_hypercube
+from oracles import hull_oracle, is_delzant_smooth_oracle, recession_trivial, vertex_set_oracle
 
 
 def rational(rng, lo=-6, hi=6):
@@ -177,3 +180,113 @@ class TestVerticesAgainstOracle:
         assert_same_vertices(dim, box)
         simplex = [row for row in box if row[-1] == 0] + [[1] * dim + [Fraction(5, 2)]]
         assert_same_vertices(dim, simplex)
+
+
+def smoothness(fn, p):
+    try:
+        return fn(p)
+    except (UnboundedError, LowerDimensionalError) as exc:
+        return type(exc)
+
+
+def random_unimodular(rng, dim):
+    """Integer matrix of determinant +-1: shears, a row shuffle, a sign."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(3):
+        i, j = rng.sample(range(dim), 2)
+        k = rng.randint(-2, 2)
+        m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    rng.shuffle(m)
+    if rng.random() < 0.5:
+        m[0] = [-x for x in m[0]]
+    return tuple(map(tuple, m))
+
+
+def with_tight_redundant_row(p, rng):
+    """p plus the sum of two rows tight at one vertex: redundant, and tight
+    at that vertex (and along the face the two rows share)."""
+    v = rng.choice(p.vertex_set())
+    tight = [h for h in p.halfspaces if h.value(v) == h.rhs]
+    g, h = rng.sample(tight, 2)
+    normal = tuple(a + b for a, b in zip(g.normal, h.normal))
+    if not any(normal):
+        return p
+    return HPolytope(p.dim, p.halfspaces + (HalfSpace.make(normal, g.rhs + h.rhs),))
+
+
+class TestSmoothnessAgainstOracle:
+    def check(self, p, rng=None):
+        """Compare on p and, with an rng, on an affine unimodular image of p;
+        return the verdicts seen."""
+        polys = [p]
+        if rng is not None:
+            t = tuple(rational(rng, -3, 3) for _ in range(p.dim))
+            polys.append(p.affine_unimodular_image(random_unimodular(rng, p.dim), t))
+        seen = set()
+        for q in polys:
+            got = smoothness(is_delzant_smooth, q)
+            assert got == smoothness(is_delzant_smooth_oracle, q), q.halfspaces
+            seen.add(got if isinstance(got, type) else got[0])
+        return seen
+
+    def test_random_hulls(self):
+        rng = random.Random(2221)
+        seen = set()
+        for t in range(150):
+            dim = 2 + t % 3
+            count = rng.randint(dim + 1, dim + 5)
+            if rng.random() < 0.7:
+                pts = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(count)]
+            else:
+                pts = random_points(rng, dim, count)
+            p = hull(pts)
+            if p.is_full_dimensional() and rng.random() < 0.5:
+                p = with_tight_redundant_row(p, rng)
+            seen |= self.check(p, rng)
+        assert {True, False, LowerDimensionalError} <= seen
+
+    def test_redundant_rows_tight_at_a_vertex(self):
+        rng = random.Random(2222)
+        seen = set()
+        for t in range(40):
+            dim = 2 + t % 3
+            pts = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(dim + 4)]
+            p = hull(pts)
+            if not p.is_full_dimensional():
+                continue
+            q = with_tight_redundant_row(with_tight_redundant_row(p, rng), rng)
+            assert is_delzant_smooth(q) == is_delzant_smooth(p)
+            seen |= self.check(q, rng)
+        assert {True, False} <= seen
+        # the unit square with its diagonal row x + y <= 2 tight at (1, 1)
+        square = [[-1, 0, 0], [0, -1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 2]]
+        assert self.check(HPolytope.from_inequalities(2, square)) == {True}
+
+    def test_non_simple_vertices(self):
+        pyramid = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+        octahedron = hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)])
+        cross4 = hull([tuple(s * int(i == j) for j in range(4))
+                       for i in range(4) for s in (1, -1)])
+        rng = random.Random(2223)
+        for p in (pyramid, octahedron, cross4):
+            assert self.check(p, rng) == {False}
+        # every base corner has three edges of determinant +-1; the apex has four
+        assert is_delzant_smooth(pyramid) == (False, (1, 1, 1))
+        assert is_delzant_smooth(octahedron) == (False, (-1, 0, 0))
+
+    def test_bott_cubes(self):
+        rng = random.Random(2224)
+        for t in range(30):
+            b = random_bott_hypercube(rng, 2 + t % 3, entry_bound=2, lam_bound=4)
+            assert self.check(bott_polytope(b), rng) == {True}
+
+    def test_errors_keep_their_class(self):
+        quadrant = HPolytope.from_inequalities(2, [[-1, 0, 0], [0, -1, 0]])
+        wedge = HPolytope.from_inequalities(
+            3, [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [1, 1, 0, 4]])
+        for p in (quadrant, wedge):
+            assert self.check(p) == {UnboundedError}
+        for pts in ([(0, 0), (0, 1)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                    [(0, 0, 0, 0), (1, 1, 1, 1)]):
+            assert self.check(hull(pts)) == {LowerDimensionalError}

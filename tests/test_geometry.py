@@ -28,6 +28,7 @@ from conftest import (
     random_integral_polygon,
     unit_box,
 )
+from oracles import edges_at_vertices
 
 
 def fr(x):
@@ -259,13 +260,12 @@ class TestNormalizeAtVertex:
         assert t == (fr(0), fr(0))
 
     def test_trapezoid_corner(self):
-        from toricdeg.geometry import _edges_at_vertices
         p = hull([(0, 0), (1, 0), (1, 1), (0, 5)])
         img, (m, t) = normalize_at_vertex(p, (1, 1))
         origin = (fr(0), fr(0))
         assert origin in vset(img)
         # every edge at the new origin points along a positive axis direction
-        for w in _edges_at_vertices(img)[origin]:
+        for w in edges_at_vertices(img)[origin]:
             nonzero = [i for i, x in enumerate(w) if x != 0]
             assert len(nonzero) == 1 and w[nonzero[0]] > 0
 

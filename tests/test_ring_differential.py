@@ -210,3 +210,15 @@ class TestRingMapOracle:
             back = sf.ring_map.inverse()
             assert sf.ring_map.compose(back).matrix() == compose_oracle(
                 sf.ring_map, back).matrix() == linalg.identity(b.n)
+
+    def test_omega_must_be_linear(self):
+        ring = CohRing(2, ((0, 1), (0, 0)))
+        f = RingMap.identity(ring)
+        omega = omega_class(ring, (1, 2))
+        for bad in (ring.zero(), ring.one(), ring.generator(1) * ring.generator(2),
+                    omega + ring.one()):
+            with pytest.raises(ValueError, match="degree-1"):
+                ring_map_check(f, ring, ring, bad, omega)
+            with pytest.raises(ValueError, match="degree-1"):
+                ring_map_check(f, ring, ring, omega, bad)
+        assert ring_map_check(f, ring, ring, omega, omega)

@@ -240,15 +240,13 @@ class TestAdditivityProperty:
 
     def test_verify_move_semigroups(self, monkeypatch):
         built = []
+        slide_levels = bott.slide_levels
 
-        def capture(fn):
-            def wrapped(*args):
-                built.append(fn(*args))
-                return built[-1]
-            return wrapped
+        def capture(*args):
+            built.append(slide_levels(*args))
+            return built[-1]
 
-        monkeypatch.setattr(bott, "build_semigroup", capture(bott.build_semigroup))
-        monkeypatch.setattr(bott, "slide_levels", capture(bott.slide_levels))
+        monkeypatch.setattr(bott, "slide_levels", capture)
         rng = random.Random(6202)
         for n, level in ((2, 6), (3, 4)):
             checked = 0
