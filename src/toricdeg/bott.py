@@ -318,10 +318,12 @@ class RingMap:
         return RingMap(self.source, after.target, linalg.mat_mul(self.m, after.m))
 
     def inverse(self) -> "RingMap":
-        """Inverse on generators; requires a unimodular coefficient matrix."""
-        if abs(linalg.mat_det(self.m)) != 1:
+        """Inverse on generators, with int entries; the coefficient matrix
+        and its inverse must both be integral (so unimodular)."""
+        inv = linalg.mat_inverse(self.m)
+        if inv is None or any(x.denominator != 1 for row in self.m + inv for x in row):
             raise ValueError("map is not invertible over the integers")
-        return RingMap(self.target, self.source, linalg.mat_inverse(self.m))
+        return RingMap(self.target, self.source, tuple(tuple(map(int, row)) for row in inv))
 
     @staticmethod
     def identity(ring) -> "RingMap":

@@ -160,7 +160,7 @@ def cmd_semigroup(args):
         all(bodies[level + 1].contains(v) for v in bodies[level].vertex_set())
         for level in range(1, m))
     saturated, witness = valuation.check_saturation(sg)
-    delta1 = geometry.hull(sg.levels[1])
+    delta1 = bodies[1]
     cone_report = {"delta": jsonio.dump_polytope(delta1)}
     if delta1.is_integral():
         cone_ok, cert = valuation.check_cone_condition(sg, delta1)

@@ -102,9 +102,10 @@ class HalfSpace:
 
     @staticmethod
     def make(coeffs, rhs):
-        normal = linalg.primitive_int_vector(coeffs)
-        i = next(i for i, c in enumerate(normal) if c)
-        return HalfSpace(normal, Fraction(rhs) * normal[i] / Fraction(coeffs[i]))
+        normal, rhs = linalg.primitive_row(coeffs, rhs)
+        if not any(normal):
+            raise ValueError("zero vector has no primitive form")
+        return HalfSpace(normal, rhs)
 
     def value(self, point):
         return sum(a * b for a, b in zip(self.normal, point))
@@ -119,14 +120,6 @@ class VPolytope:
 
     dim: int
     vertices: tuple
-
-    @staticmethod
-    def make(dim, points):
-        pts = sorted(set(frac_vec(p) for p in points))
-        return VPolytope(dim, tuple(pts))
-
-    def is_integral(self):
-        return all(is_integral_vec(v) for v in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -335,14 +328,11 @@ def hull(points, dim=None) -> HPolytope:
         return HPolytope(dim, [HalfSpace.make(tuple(-c for c in r[:dim]), r[dim])
                                for r in rays], _bounded=True)
     x0 = pts[0]
-    diffs = [linalg.vec_sub(p, x0) for p in pts[1:]]
-    r = linalg.mat_rank(diffs)
+    rows, pivots, _ = linalg.rref([linalg.vec_sub(p, x0) for p in pts[1:]])
     # Lower-dimensional hull: cut out the affine hull with equality pairs,
-    # then lift the facets of the hull taken inside the affine hull.
-    half, basis = [], []
-    for d in diffs:
-        if len(basis) < r and linalg.mat_rank(basis + [d]) > len(basis):
-            basis.append(d)
+    # then lift the facets of the hull taken inside the affine hull, whose
+    # directions the nonzero reduced rows of the differences span.
+    half, basis = [], rows[:len(pivots)]
     # Equality pairs from the normals of the affine hull (every e_i for a point).
     for row in linalg.nullspace(basis) if basis else linalg.identity(dim):
         half.append(HalfSpace.make(row, linalg.vec_dot(row, x0)))
@@ -353,7 +343,7 @@ def hull(points, dim=None) -> HPolytope:
     bmat = linalg.transpose(basis)          # dim x r, columns span directions
     tmat = linalg.left_inverse(bmat)        # r x dim with tmat @ bmat = I
     proj = [linalg.mat_vec(tmat, linalg.vec_sub(p, x0)) for p in pts]
-    inner = hull(proj, r)
+    inner = hull(proj, len(basis))
     for h in inner.halfspaces:
         coeffs = linalg.mat_vec(linalg.transpose(tmat), h.normal)
         half.append(HalfSpace.make(coeffs, h.rhs + linalg.vec_dot(coeffs, x0)))
@@ -424,6 +414,6 @@ def is_delzant_smooth(p: HPolytope):
     for v in p.vertex_set():
         tight = [tuple(-a for a in h.normal) for h in p.halfspaces if h.value(v) == h.rhs]
         rays = _extreme_rays(tight, p.dim)
-        if len(rays) != p.dim or abs(linalg.int_det(rays)) != 1:
+        if len(rays) != p.dim or abs(linalg.mat_det(rays)) != 1:
             return (False, v)
     return (True, None)

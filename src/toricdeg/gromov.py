@@ -188,7 +188,7 @@ def _unimodular_candidates(n, bound):
     """All integer matrices with entries in [-bound, bound] and det +-1, in
     lexicographic order of the flattened entries."""
     rows = list(product(range(-bound, bound + 1), repeat=n))
-    return (psi for psi in product(rows, repeat=n) if abs(linalg.int_det(psi)) == 1)
+    return (psi for psi in product(rows, repeat=n) if abs(linalg.mat_det(psi)) == 1)
 
 
 class _FacetDots(dict):
@@ -286,7 +286,7 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
             else:
                 cand[i] = [-x for x in cand[i]]
             cand = tuple(tuple(row) for row in cand)
-            if abs(linalg.int_det(cand)) != 1:
+            if abs(linalg.mat_det(cand)) != 1:
                 continue
             fit = _best_fit(delta, _facet_loads(dots, cand), cand)
             if fit is not None and fit.a >= best.a:

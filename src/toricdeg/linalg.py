@@ -2,13 +2,17 @@
 
 Matrices are sequences of row sequences holding ints or Fractions.  Nothing
 here is asymptotically clever; dimensions stay below ~10 throughout the
-package, so plain Gaussian elimination with exact arithmetic is the right
-tool.  Fourier-Motzkin elimination lives here too because both the polytope
-kernel and the simplex search need exact feasibility and 1-d optimisation.
-Input rows are scaled once to primitive integer coefficients; every row
-that elimination derives is an integer combination of such rows, so it is
-reduced by an integer gcd alone and only its right hand side stays a
-Fraction.
+package.  `rref` is the one elimination: a Gauss-Jordan pass over Fractions
+that returns the reduced rows, their pivot columns and the determinant of
+the leading square block.  Rank and nullspace read the pivots, `solve` is
+the RREF of [m | rhs], `mat_inverse` the RREF of [m | I], and `mat_det`
+past its 3x3 closed forms is the pivot product (an int for an integer
+matrix).  Fourier-Motzkin elimination lives here too because both the
+polytope kernel and the simplex search need exact feasibility and 1-d
+optimisation.  `primitive_row` scales each input row once to primitive
+integer coefficients; every row that elimination derives is an integer
+combination of such rows, so it is reduced by an integer gcd alone and only
+its right hand side stays a Fraction.
 """
 
 from __future__ import annotations
@@ -51,38 +55,8 @@ def identity(n):
 
 
 def mat_det(m):
-    """Determinant by fraction-free style elimination on a working copy."""
-    n = len(m)
-    if n == 1:
-        return Fraction(m[0][0])
-    if n == 2:
-        return Fraction(m[0][0] * m[1][1] - m[0][1] * m[1][0])
-    if n == 3:
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def int_det(m):
-    """Determinant of an integer matrix as an int; closed form up to 3x3."""
+    """Determinant: closed forms up to 3x3, else the pivot product of `rref`.
+    An integer matrix gives an int."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -93,50 +67,31 @@ def int_det(m):
         d, e, f = m[1]
         g, h, i = m[2]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return int(mat_det(m))
+    det = rref(m)[2]
+    return int(det) if all(isinstance(x, int) for row in m for x in row) else det
 
 
-def solve(m, rhs):
-    """Unique solution of a square system, or None when singular."""
-    n = len(m)
-    if n <= 3:
-        det = mat_det(m)
-        if det == 0:
-            return None
-        cols = list(zip(*m))
-        out = []
-        for j in range(n):
-            saved = cols[j]
-            cols[j] = rhs
-            out.append(mat_det(list(zip(*cols))) / det)
-            cols[j] = saved
-        return tuple(out)
-    rows = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(m, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
+def rref(m):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions.
 
-
-def _echelon(m):
-    """Row echelon form; returns (rows, pivot column list)."""
+    Returns (rows, pivots, det): the reduced rows, nonzero ones first, the
+    pivot column of each nonzero row, and the determinant of the leading
+    square block (the pivot product with the sign of the row swaps; 0 unless
+    every row has its pivot in the leading block).
+    """
     rows = [[Fraction(x) for x in row] for row in m]
     pivots = []
+    det = Fraction(1)
     r = 0
     ncols = len(m[0]) if m else 0
     for col in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det *= rows[r][col]
         inv = 1 / rows[r][col]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
@@ -147,13 +102,19 @@ def _echelon(m):
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    if pivots != list(range(len(rows))):
+        det = Fraction(0)
+    return rows, pivots, det
+
+
+def solve(m, rhs):
+    """Unique solution of a square system, or None when singular."""
+    rows, _, det = rref([list(row) + [b] for row, b in zip(m, rhs)])
+    return None if det == 0 else tuple(row[-1] for row in rows)
 
 
 def mat_rank(m):
-    if not m:
-        return 0
-    return len(_echelon(m)[1])
+    return len(rref(m)[1])
 
 
 def nullspace(m):
@@ -161,7 +122,7 @@ def nullspace(m):
     if not m:
         return []
     ncols = len(m[0])
-    rows, pivots = _echelon(m)
+    rows, pivots, _ = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -174,16 +135,10 @@ def nullspace(m):
 
 
 def mat_inverse(m):
-    """Exact inverse, or None when singular."""
+    """Exact inverse from one `rref` of [m | I], or None when singular."""
     n = len(m)
-    det = mat_det(m)
-    if det == 0:
-        return None
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(solve(m, e))
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    rows, _, det = rref([list(row) + list(e) for row, e in zip(m, identity(n))])
+    return None if det == 0 else tuple(tuple(row[n:]) for row in rows)
 
 
 def left_inverse(b):
@@ -196,29 +151,15 @@ def left_inverse(b):
     return mat_mul(gram_inv, bt)
 
 
-def primitive_int_vector(v):
-    """Scale a nonzero rational vector to integer entries with gcd 1."""
-    fracs = [Fraction(x) for x in v]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
-
-
 # --- Fourier-Motzkin ------------------------------------------------------
 #
 # An inequality is a pair (coeffs, rhs) meaning sum(coeffs[i]*x[i]) <= rhs.
 
 
-def _normalize_ineq(coeffs, rhs):
-    """Scale an input row to primitive integer coefficients; rhs becomes an
-    exact Fraction."""
+def primitive_row(coeffs, rhs):
+    """Scale the row <coeffs, x> <= rhs by a positive rational to primitive
+    integer coefficients (all zero stays zero); rhs becomes an exact
+    Fraction."""
     lcm = 1
     for c in coeffs:
         if not isinstance(c, int):
@@ -235,7 +176,7 @@ def _normalize_ineq(coeffs, rhs):
 def fm_eliminate(ineqs, j):
     """Project the system onto the coordinates other than x_j.
 
-    The rows must have primitive integer coefficients, as `_normalize_ineq`
+    The rows must have primitive integer coefficients, as `primitive_row`
     leaves them; so do the returned rows, and column j of each is zero.
     Trivially true rows are dropped, contradictory constant rows are kept so
     infeasibility survives the projection.
@@ -266,7 +207,7 @@ def fm_eliminate(ineqs, j):
 
 def fm_feasible(ineqs, nvars):
     """Exact feasibility of a linear inequality system."""
-    system = [_normalize_ineq(c, r) for c, r in ineqs]
+    system = [primitive_row(c, r) for c, r in ineqs]
     for j in range(nvars):
         system = fm_eliminate(system, j)
     return all(r >= 0 for c, r in system if not any(c))
@@ -282,7 +223,7 @@ def fm_maximize(ineqs, nvars, objective_index=0):
     """
     order = [j for j in range(nvars) if j != objective_index]
     stages = []
-    system = [_normalize_ineq(c, r) for c, r in ineqs]
+    system = [primitive_row(c, r) for c, r in ineqs]
     for j in reversed(order):
         stages.append((j, system))
         system = fm_eliminate(system, j)

@@ -17,7 +17,7 @@ from toricdeg.errors import NotSmoothError
 from toricdeg.geometry import HPolytope, LatticePointSet, frac_vec
 from toricdeg.valuation import GradedSemigroup
 
-from oracles import edges_at_vertices
+from oracles import edges_at_vertices, primitive_int_vector
 
 
 def unit_box(dims):
@@ -205,7 +205,7 @@ def normalize_at_vertex(p, v):
         raise ValueError(f"{v} is not a vertex of the polytope")
     # Pair each edge with the axis of its leading coordinate: axis-aligned
     # corners then get the identity and opposite box corners get -identity.
-    dirs = sorted((linalg.primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]),
+    dirs = sorted((primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]),
                   key=lambda d: (next(i for i, x in enumerate(d) if x), d))
     if len(dirs) != p.dim or abs(linalg.mat_det(linalg.transpose(dirs))) != 1:
         raise NotSmoothError(f"vertex {v} is not smooth")

@@ -17,8 +17,12 @@ library reads closed degree-2 forms off the matrices.  The simplex-search
 oracle solves one LP per unimodular candidate, found by a Fraction
 determinant, where the library solves one per facet-load vector; the
 elimination oracle normalizes every derived row through the Fraction lcm
-path.  They are kept only to check the production code against; all of
-them are exponential in the dimension.
+path.  The linear algebra oracles are the eliminations `linalg.rref`
+replaced: a forward-elimination determinant, Cramer's rule and
+Gauss-Jordan solves, a per-column inverse, the primitive vector scaling
+`HalfSpace.make` used, and a flat hull whose basis is picked greedily, one
+rank test per point difference.  They are kept only to check the
+production code against; most of them are exponential in the dimension.
 """
 
 from fractions import Fraction
@@ -35,6 +39,7 @@ from toricdeg.geometry import (
     LatticePointSet,
     dilate,
     frac_vec,
+    hull,
     minkowski_sum,
 )
 from toricdeg.gromov import SimplexFit
@@ -78,38 +83,38 @@ def _hull_full_dim(points, dim):
 
 def hull_oracle(points, dim=None):
     """Minimal H-representation by subset enumeration, lower-dimensional
-    input reduced to its affine hull exactly as `toricdeg.hull` does."""
-    pts = [frac_vec(p) for p in points]
-    if dim is None:
-        dim = len(pts[0])
-    pts = sorted(set(pts))
+    input reduced to its affine hull by `flat_hull_oracle`."""
+    pts = sorted(set(map(frac_vec, points)))
+    dim = dim or len(pts[0])
+    diffs = [linalg.vec_sub(p, pts[0]) for p in pts[1:]]
+    if diffs and linalg.mat_rank(diffs) == dim:
+        return _hull_full_dim(pts, dim)
+    return flat_hull_oracle(pts, dim, hull_oracle)
+
+
+def flat_hull_oracle(points, dim=None, inner=hull):
+    """`hull` of points with a lower-dimensional affine hull, whose
+    directions come from a greedy basis of the point differences (one rank
+    test per difference): equality pairs from the normals of the affine
+    hull, then the facets of `inner` in the basis coordinates, lifted."""
+    pts = sorted(set(map(frac_vec, points)))
+    dim = dim or len(pts[0])
     x0 = pts[0]
     diffs = [linalg.vec_sub(p, x0) for p in pts[1:]]
     r = linalg.mat_rank(diffs) if diffs else 0
-    if r == dim:
-        return _hull_full_dim(pts, dim)
-    half = []
-    if r == 0:
-        for i in range(dim):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-            half.append(HalfSpace.make(e, x0[i]))
-            half.append(HalfSpace.make(tuple(-x for x in e), -x0[i]))
-        return HPolytope(dim, half, _bounded=True)
-    basis = []
+    half, basis = [], []
     for d in diffs:
-        if linalg.mat_rank(basis + [d]) > len(basis):
+        if len(basis) < r and linalg.mat_rank(basis + [d]) > len(basis):
             basis.append(d)
-        if len(basis) == r:
-            break
-    bmat = linalg.transpose(basis)
-    for row in linalg.nullspace(basis):
+    for row in linalg.nullspace(basis) if basis else linalg.identity(dim):
         half.append(HalfSpace.make(row, linalg.vec_dot(row, x0)))
         neg = tuple(-x for x in row)
         half.append(HalfSpace.make(neg, linalg.vec_dot(neg, x0)))
-    tmat = linalg.left_inverse(bmat)
+    if not basis:
+        return HPolytope(dim, half, _bounded=True)
+    tmat = linalg.left_inverse(linalg.transpose(basis))
     proj = [linalg.mat_vec(tmat, linalg.vec_sub(p, x0)) for p in pts]
-    inner = hull_oracle(proj, r)
-    for h in inner.halfspaces:
+    for h in inner(proj, r).halfspaces:
         coeffs = linalg.mat_vec(linalg.transpose(tmat), h.normal)
         half.append(HalfSpace.make(coeffs, h.rhs + linalg.vec_dot(coeffs, x0)))
     return HPolytope(dim, half, _bounded=True)
@@ -215,7 +220,7 @@ def is_delzant_smooth_oracle(p: HPolytope):
         raise LowerDimensionalError("smoothness requires a full-dimensional polytope")
     adj = edges_at_vertices(p)
     for v in sorted(adj):
-        dirs = [linalg.primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]]
+        dirs = [primitive_int_vector(linalg.vec_sub(w, v)) for w in adj[v]]
         if len(dirs) != p.dim or abs(linalg.mat_det(dirs)) != 1:
             return (False, v)
     return (True, None)
@@ -405,6 +410,93 @@ def best_simplex_lb_oracle(delta: HPolytope, bound):
     return best[1]
 
 
+def det_oracle(m):
+    """Determinant by forward elimination over Fractions, no closed forms."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+def rank_oracle(m):
+    """The largest k with a nonzero k x k minor."""
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                if det_oracle([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def solve_oracle(m, rhs):
+    """Cramer's rule up to 3x3, else Gauss-Jordan; None when singular."""
+    n = len(m)
+    if n <= 3:
+        det = det_oracle(m)
+        if det == 0:
+            return None
+        cols = list(zip(*m))
+        out = []
+        for j in range(n):
+            saved = cols[j]
+            cols[j] = rhs
+            out.append(det_oracle(list(zip(*cols))) / det)
+            cols[j] = saved
+        return tuple(out)
+    rows = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(m, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return tuple(rows[i][n] for i in range(n))
+
+
+def inverse_oracle(m):
+    """Inverse by one `solve_oracle` per unit column, or None when singular."""
+    n = len(m)
+    if det_oracle(m) == 0:
+        return None
+    cols = [solve_oracle(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def primitive_int_vector(v):
+    """Scale a nonzero rational vector to integer entries with gcd 1."""
+    fracs = [Fraction(x) for x in v]
+    lcm = 1
+    for f in fracs:
+        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
+    ints = [int(f * lcm) for f in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(x // g for x in ints)
+
+
 def normalize_ineq_oracle(coeffs, rhs):
     """Scale to primitive integer coefficients through the lcm of the
     coefficient denominators; rhs stays exact."""
@@ -453,6 +545,6 @@ def fm_eliminate_oracle(ineqs, j):
 def fm_maximize_oracle(ineqs, nvars, objective_index=0):
     """`linalg.fm_maximize` with every row, input or derived, normalized by
     `normalize_ineq_oracle`."""
-    with mock.patch.object(linalg, "_normalize_ineq", normalize_ineq_oracle), \
+    with mock.patch.object(linalg, "primitive_row", normalize_ineq_oracle), \
             mock.patch.object(linalg, "fm_eliminate", fm_eliminate_oracle):
         return linalg.fm_maximize(ineqs, nvars, objective_index)

@@ -342,6 +342,17 @@ class TestRingMapCheck:
                                           scramble_bott(base, rng, steps=3))
             assert dec.yes and inverse_respects_relations(dec.ring_map)
 
+    def test_inverse_is_integral(self):
+        ring = CohRing(2, ((0, 0), (0, 0)))
+        g = RingMap(ring, ring, ((1, 2), (0, 1))).inverse()
+        assert g.m == ((1, -2), (0, 1))
+        assert all(type(x) is int for row in g.m for x in row)
+        # det 1, but neither the matrix nor its inverse is integral
+        with pytest.raises(ValueError, match="over the integers"):
+            RingMap(ring, ring, ((2, 0), (0, Fraction(1, 2)))).inverse()
+        with pytest.raises(ValueError, match="over the integers"):
+            RingMap(ring, ring, ((2, 0), (0, 1))).inverse()
+
     def test_non_unimodular_rejected(self):
         # x1 -> 2 x1 descends in the untwisted ring but does not invert over Z
         ring = CohRing(2, ((0, 0), (0, 0)))
@@ -622,6 +633,15 @@ class TestDecision:
             std2 = BottData(n, s2.data.a, s2.lam)
             assert std1 == std2
             assert bott_polytope(std1) == bott_polytope(std2)
+
+    def test_certificates_are_integral(self, rng):
+        for t in range(9):
+            base = random_standard_bott(rng, 2 + t % 4)
+            dec = decide_symplectomorphic(scramble_bott(base, rng, steps=3),
+                                          scramble_bott(base, rng, steps=3))
+            assert dec.yes
+            for f in (dec.ring_map, dec.standard[0].ring_map, dec.standard[1].ring_map):
+                assert all(type(x) is int for row in f.m for x in row), f.m
 
     def test_requires_q_trivial(self):
         bad = BottData.make(((0, 1, 1), (0, 0, 1), (0, 0, 0)), (1, 1, 1))

@@ -19,7 +19,13 @@ from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, Unbounded
 from toricdeg.geometry import HalfSpace, HPolytope
 
 from conftest import random_bott_hypercube
-from oracles import hull_oracle, is_delzant_smooth_oracle, recession_trivial, vertex_set_oracle
+from oracles import (
+    flat_hull_oracle,
+    hull_oracle,
+    is_delzant_smooth_oracle,
+    recession_trivial,
+    vertex_set_oracle,
+)
 
 
 def rational(rng, lo=-6, hi=6):
@@ -118,6 +124,22 @@ class TestHullAgainstOracle:
             plane = [tuple(x + s * y + t * z for x, y, z in zip(a, d, e))
                      for s, t in ((0, 0), (1, 0), (0, 1), (2, 3), (Fraction(1, 2), 1))]
             assert_same_hull(plane, 3)
+
+    def test_flat_hulls_match_greedy_basis(self):
+        # The reduced rows of the differences and a greedy subset of them
+        # span the same directions, so the lifted facets agree exactly.
+        rng = random.Random(2207)
+        for t in range(400):
+            dim = 2 + t % 4
+            k = rng.randint(0, dim - 1)
+            x0, *dirs = random_points(rng, dim, k + 1)
+            pts = [tuple(x + sum(c * d[i] for c, d in zip(coefs, dirs))
+                         for i, x in enumerate(x0))
+                   for coefs in (random_points(rng, k, 1)[0]
+                                 for _ in range(rng.randint(1, k + 5)))]
+            got = hull(pts, dim)
+            assert not got.is_full_dimensional()
+            assert got.halfspaces == flat_hull_oracle(pts, dim).halfspaces, pts
 
 
 class TestVerticesAgainstOracle:

@@ -1,9 +1,11 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps library functions
 by name, so a renamed or moved function must fail here and not only in a
-traced benchmark run; `uninstall()` must put every original back."""
+traced benchmark run; `uninstall()` must put every original back, and the
+counters must count the calls the library really makes."""
 
 import importlib
 import sys
+from itertools import product
 from pathlib import Path
 
 import toricdeg
@@ -48,3 +50,28 @@ def test_tracer_patches_every_span_and_restores_the_library(monkeypatch):
     assert after.keys() == before.keys()
     changed = [key for key, value in before.items() if after[key] is not value]
     assert not changed
+
+
+def test_simplex_search_counters_see_every_determinant(monkeypatch, tmp_path, capsys):
+    # gromov.matrices_scanned and gromov.unimodular count the determinants
+    # best_simplex_lb itself takes: every 2x2 entry matrix at bound 1.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    sys.modules.pop("spans", None)
+    spans = importlib.import_module("spans")
+    square = tmp_path / "square.json"
+    square.write_text('{"dim": 2, "vertices": [[0, 0], [2, 0], [0, 2], [2, 2]]}')
+    tracer = spans.Tracer(toricdeg)
+    try:
+        tracer.install()
+        code = toricdeg.cli.main(["gw-simplex", "--polytope", str(square), "--bound", "1",
+                                  "--mode", "exhaustive"])
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("spans", None)
+    capsys.readouterr()
+    assert code == 0
+    entries = range(-1, 2)
+    unimodular = sum(abs(a * d - b * c) == 1 for a, b, c, d in product(entries, repeat=4))
+    metrics = tracer.metrics()
+    assert metrics["gromov.matrices_scanned"] == 3 ** 4
+    assert metrics["gromov.unimodular"] == unimodular > 0
