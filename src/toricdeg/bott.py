@@ -1,25 +1,27 @@
-"""Bott tower data, exact cohomology arithmetic, and the rigidity decision.
+"""Bott tower data, its cohomology presentation, and the rigidity decision.
 
 A pair (A, lam) with A strictly upper triangular over Z and lam positive
 encodes a combinatorial-hypercube polytope with 2n facets and the quotient
-ring Z[x_1..x_n]/(x_i^2 + sum_j A^i_j x_j x_i) on the square-free monomial
-basis.  Degeneration moves rewrite one column of A while transporting lam
-and an explicit ring isomorphism; composing moves, facet swaps, and block
-permutations reduces any rationally trivial datum to a canonical product of
-standard blocks, on which symplectomorphism is decidable by direct
-comparison.
+ring Z[x_1..x_n]/(x_i^2 + sum_j A^i_j x_j x_i).  Degeneration moves rewrite
+one column of A while transporting lam and an explicit ring isomorphism;
+composing moves, facet swaps, and block permutations reduces any rationally
+trivial datum to a canonical product of standard blocks, on which
+symplectomorphism is decidable by direct comparison.
 
 The decision path works in degrees <= 2, where x_p^2 = -sum_q A^p_q x_p x_q
-is the whole reduction: ring maps are their coefficient matrices, and linear
-classes u, v multiply to sum_{p<q} (u_p v_q + u_q v_p - u_p v_p A^p_q) x_p x_q
-(`_product`).
+is the whole reduction.  A linear class is its coefficient row (the
+symplectic class is the row lam), a ring map is its coefficient matrix, and
+linear classes u, v multiply to sum_{p<q} (u_p v_q + u_q v_p - u_p v_p A^p_q)
+x_p x_q (`_product`).  Only `bott-reduce` needs higher degrees: there a
+class is a {bitmask: coefficient} dict on the square-free monomial basis
+(`CohRing.reduce_exponents`).
 
 Indices k, l in the public API are 1-based to match the inequality labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -99,141 +101,72 @@ def is_hypercube(b: BottData) -> bool:
 # --- cohomology ring -------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class CohRing:
-    """Danilov presentation on the 2^n square-free monomials.
+    """The presentation Z[x_1..x_n]/(x_i^2 + sum_j A^i_j x_j x_i).
 
-    Basis elements are bitmasks; reduction rewrites x_i^2 into
-    -sum_j A^i_j x_j x_i, which strictly raises the index multiset and
-    therefore terminates with a unique normal form.
+    A class is a dict {bitmask: coefficient} on the 2^n square-free
+    monomials.  Reduction rewrites x_i^2 into -sum_j A^i_j x_j x_i, which
+    keeps the degree and strictly raises the index multiset, so it
+    terminates with a unique normal form; the basis stops at degree n, so
+    every monomial of higher degree is zero.
     """
 
-    def __init__(self, n, a):
-        self.n = n
-        self.a = tuple(tuple(int(x) for x in row) for row in a)
-        # normal-form memo; entries are written once and idempotent, so
-        # concurrent readers at worst duplicate a computation
-        self._memo = {}
+    n: int
+    a: tuple
+    # normal-form memo; entries are written once and idempotent, so
+    # concurrent readers at worst duplicate a computation
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(tuple(int(x) for x in row) for row in self.a))
 
     @staticmethod
     def of(b: BottData) -> "CohRing":
         """The ring of b's presentation."""
         return CohRing(b.n, b.a)
 
-    def __eq__(self, other):
-        return isinstance(other, CohRing) and (self.n, self.a) == (other.n, other.a)
-
-    def __hash__(self):
-        return hash((self.n, self.a))
-
-    def zero(self):
-        return CohClass(self, {})
-
-    def one(self):
-        return CohClass(self, {0: Fraction(1)})
-
-    def generator(self, i):
-        """x_i for 1-based i."""
-        return CohClass(self, {1 << (i - 1): Fraction(1)})
-
-    def linear_class(self, coeffs):
-        return CohClass(self, {1 << i: Fraction(c) for i, c in enumerate(coeffs)
-                               if Fraction(c) != 0})
-
-    def reduce_exponents(self, exp) -> "CohClass":
-        """Normal form of the monomial with the given exponent vector."""
+    def reduce_exponents(self, exp) -> dict:
+        """Normal form of the monomial with the given exponent vector.  The
+        dict is the memo's own: read it, do not change it."""
         exp = tuple(int(e) for e in exp)
+        if sum(exp) > self.n:
+            return {}
         hit = self._memo.get(exp)
         if hit is not None:
             return hit
         sq = next((i for i, e in enumerate(exp) if e >= 2), None)
         if sq is None:
-            mask = 0
-            for i, e in enumerate(exp):
-                if e:
-                    mask |= 1 << i
-            out = CohClass(self, {mask: Fraction(1)})
+            out = {sum(1 << i for i, e in enumerate(exp) if e): 1}
         else:
-            rest = list(exp)
-            rest[sq] -= 2
-            out = self.zero()
+            out = {}
             for j in range(sq + 1, self.n):
-                coef = self.a[sq][j]
-                if coef == 0:
-                    continue
-                term = list(rest)
-                term[sq] += 1
-                term[j] += 1
-                out = out + self.reduce_exponents(term).scaled(Fraction(-coef))
+                if self.a[sq][j]:
+                    term = list(exp)
+                    term[sq] -= 1
+                    term[j] += 1
+                    _add_scaled(out, self.reduce_exponents(term), -self.a[sq][j])
         self._memo[exp] = out
         return out
 
-    def multiply(self, c1: "CohClass", c2: "CohClass") -> "CohClass":
-        out = self.zero()
-        for m1, a1 in c1.coeffs.items():
-            for m2, a2 in c2.coeffs.items():
+    def multiply(self, u: dict, v: dict) -> dict:
+        """The product of two classes."""
+        out = {}
+        for m1, a1 in u.items():
+            for m2, a2 in v.items():
                 exp = tuple(((m1 >> i) & 1) + ((m2 >> i) & 1) for i in range(self.n))
-                out = out + self.reduce_exponents(exp).scaled(a1 * a2)
+                _add_scaled(out, self.reduce_exponents(exp), a1 * a2)
         return out
 
 
-class CohClass:
-    """Exact class on the square-free basis; keys are index bitmasks."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if Fraction(c) != 0}
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs.values())
-
-    def degree(self):
-        """Common monomial length, or None for 0 / inhomogeneous classes."""
-        degs = {bin(m).count("1") for m in self.coeffs}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, Fraction(0)) + c
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-        return CohClass(self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(Fraction(-1))
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return CohClass(self.ring, {m: c * factor for m, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        return self.ring.multiply(self, other)
-
-    def __eq__(self, other):
-        return (isinstance(other, CohClass) and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"CohClass({self.coeffs!r})"
-
-
-def omega_class(ring: CohRing, lam) -> CohClass:
-    return ring.linear_class(lam)
-
-
-def special_elements(b: BottData, k: int):
-    """(alpha_k, y_k): alpha_k = -sum_j A^k_j x_j and y_k = x_k - alpha_k / 2."""
-    ring = CohRing.of(b)
-    alpha = ring.linear_class([-b.a[k - 1][j] for j in range(b.n)])
-    y = ring.generator(k) - alpha.scaled(Fraction(1, 2))
-    return alpha, y
+def _add_scaled(out: dict, cls: dict, factor):
+    """out += factor * cls, dropping the coefficients that cancel."""
+    for m, c in cls.items():
+        v = out.get(m, 0) + factor * c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
 
 
 @dataclass(frozen=True)
@@ -291,25 +224,8 @@ class RingMap:
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(map(tuple, self.m)))
 
-    @property
-    def images(self):
-        return tuple(self.target.linear_class(row) for row in self.m)
-
     def matrix(self):
         return self.m
-
-    def apply(self, cls: CohClass) -> CohClass:
-        if cls.ring != self.source:
-            raise ValueError("class does not live in the source ring")
-        images = self.images
-        out = self.target.zero()
-        for mask, coef in cls.coeffs.items():
-            term = self.target.one()
-            for i in range(self.source.n):
-                if (mask >> i) & 1:
-                    term = term * images[i]
-            out = out + term.scaled(coef)
-        return out
 
     def compose(self, after: "RingMap") -> "RingMap":
         """x -> after(self(x))."""
@@ -330,28 +246,24 @@ class RingMap:
         return RingMap(ring, ring, linalg.identity(ring.n))
 
 
-def ring_map_check(f: RingMap, source: CohRing, target: CohRing,
-                   omega: CohClass, omega_t: CohClass) -> bool:
-    """Does f descend, invert over Z, and carry omega to omega_t exactly?
-    All in degrees <= 2: f kills relation i iff f(x_i) (f(x_i) + sum_j A^i_j
-    f(x_j)) = 0, i.e. `_product(target.a, m_i, ((I + A_source) m)_i)` is zero,
-    `_product` giving u_p v_q + u_q v_p - u_p v_p A^p_q on x_p x_q.
-    A unimodular f that respects the source relations maps onto a free
-    Z-module of the same rank 2^n, so it is an isomorphism: no inverse check.
-    Omega must be linear; its image is w m for its coefficient row w."""
-    if omega.degree() != 1 or omega_t.degree() != 1:
-        raise ValueError("omega must be a degree-1 class")
+def ring_map_check(f: RingMap, lam, lam_t) -> bool:
+    """Does f descend, invert over Z, and carry omega = sum lam_i x_i to
+    omega_t = sum lam_t_i x_i exactly?  All in degrees <= 2: f kills relation
+    i iff f(x_i) (f(x_i) + sum_j A^i_j f(x_j)) = 0, i.e. `_product(target.a,
+    m_i, ((I + A_source) m)_i)` is zero, `_product` giving u_p v_q + u_q v_p -
+    u_p v_p A^p_q on x_p x_q.  A unimodular f that respects the source
+    relations maps onto a free Z-module of the same rank 2^n, so it is an
+    isomorphism: no inverse check.  The image of omega is the row lam m."""
     m = f.m
     if any(c.denominator != 1 for row in m for c in row):
         return False
     if abs(linalg.mat_det(m)) != 1:
         return False
-    am = linalg.mat_mul(source.a, m)
-    if any(any(_product(target.a, mi, linalg.vec_add(mi, ami)))
+    am = linalg.mat_mul(f.source.a, m)
+    if any(any(_product(f.target.a, mi, linalg.vec_add(mi, ami)))
            for mi, ami in zip(m, am)):
         return False
-    w = [omega.coeffs.get(1 << i, 0) for i in range(source.n)]
-    return target.linear_class(linalg.mat_vec(linalg.transpose(m), w)) == omega_t
+    return linalg.mat_vec(linalg.transpose(m), lam) == tuple(lam_t)
 
 
 # --- degeneration moves ------------------------------------------------------
@@ -405,13 +317,10 @@ def parametrized_move(b: BottData, k: int, l: int, target_entry: int) -> Move:
         raise MoveError(
             f"move at (k={k}, l={l}) to entry {target_entry} collapses the "
             "target polytope; data would not define a tower")
-    source = CohRing.of(b)
-    target = CohRing.of(data)
     m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
     m[k - 1][l - 1] = shift
-    f = RingMap(source, target, m)
-    if not ring_map_check(f, source, target, omega_class(source, b.lam),
-                          omega_class(target, data.lam)):
+    f = RingMap(CohRing.of(b), CohRing.of(data), m)
+    if not ring_map_check(f, b.lam, data.lam):
         raise MoveError(
             f"no degeneration move at (k={k}, l={l}) to entry {target_entry}: "
             "the generator shift does not descend")
@@ -614,10 +523,7 @@ def decide_symplectomorphic(b1: BottData, b2: BottData) -> Decision:
                         f"length multiset mismatch in standard form: {s1.lam} vs {s2.lam}",
                         standard=(s1, s2))
     f = s1.ring_map.compose(s2.ring_map.inverse())
-    ring1 = CohRing.of(b1)
-    ring2 = CohRing.of(b2)
-    if not ring_map_check(f, ring1, ring2, omega_class(ring1, b1.lam),
-                          omega_class(ring2, b2.lam)):
+    if not ring_map_check(f, b1.lam, b2.lam):
         raise AssertionError("composed certificate failed verification")
     n = b1.n
     return Decision(True, "standard forms agree", ring_map=f,
@@ -678,6 +584,8 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
     n - 1 is normal (Bruns, Gubeladze and Trung 1997), so the slide levels
     need no re-validation by `build_semigroup`.
     """
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
     if not is_hypercube(b):
         raise MoveError("verification requires combinatorial-hypercube data")
     entry = b.a[k - 1][l - 1]
@@ -704,8 +612,6 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
         dilated_by = b.n - 1
         big = big.scaled(dilated_by)
         poly_small = dilate(poly_small, dilated_by)
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
     direction = SlideDirection(k, l, c)
     sg = slide_levels(poly_small, direction, max_level)
     poly_big = bott_polytope(big)

@@ -67,9 +67,9 @@ def _load_polytope_arg(path):
 
 def cmd_vertices(args):
     p = _load_polytope_arg(args.polytope)
-    v = geometry.vertices(p)
-    report = {"summary": f"{len(v.vertices)} vertices in dimension {v.dim}"}
-    report.update(jsonio.dump_vertices(v.dim, v.vertices))
+    verts = p.vertex_set()
+    report = {"summary": f"{len(verts)} vertices in dimension {p.dim}"}
+    report.update(jsonio.dump_vertices(p.dim, verts))
     return report
 
 
@@ -275,9 +275,9 @@ def cmd_bott_reduce(args):
         exp = [0] * b.n
         for i in indices:
             exp[i - 1] += 1
-        cls = ring.reduce_exponents(tuple(exp)).scaled(jsonio.parse_rational(coeff))
-        for mask, c in cls.coeffs.items():
-            exps[mask] = exps.get(mask, Fraction(0)) + c
+        coeff = jsonio.parse_rational(coeff)
+        for mask, c in ring.reduce_exponents(exp).items():
+            exps[mask] = exps.get(mask, Fraction(0)) + coeff * c
     out = {}
     for mask in sorted(exps):
         if exps[mask] == 0:

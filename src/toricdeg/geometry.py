@@ -115,14 +115,6 @@ class HalfSpace:
 
 
 @dataclass(frozen=True)
-class VPolytope:
-    """Vertex list in canonical (lexicographic) order."""
-
-    dim: int
-    vertices: tuple
-
-
-@dataclass(frozen=True)
 class LatticePointSet:
     """Finite subset of Z^n in canonical lexicographic order."""
 
@@ -287,11 +279,6 @@ class HPolytope:
             verts = sorted(linalg.vec_add(linalg.mat_vec(m, v), t) for v in self._vertices)
             object.__setattr__(img, "_vertices", tuple(verts))
         return img
-
-
-def vertices(p: HPolytope) -> VPolytope:
-    """Exact vertex enumeration of a bounded H-polytope."""
-    return VPolytope(p.dim, p.vertex_set())
 
 
 def dilate(p: HPolytope, m) -> HPolytope:

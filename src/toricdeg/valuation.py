@@ -202,9 +202,6 @@ class GradedSemigroup:
     levels: dict = field(compare=False)
     max_level: int
 
-    def level(self, m):
-        return self.levels[m]
-
 
 def _check_normalized_at_origin(p: HPolytope):
     verts = p.vertex_set()

@@ -5,7 +5,6 @@ run is reproducible.
 """
 
 import random
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -17,7 +16,7 @@ from toricdeg.errors import NotSmoothError
 from toricdeg.geometry import HPolytope, LatticePointSet, frac_vec
 from toricdeg.valuation import GradedSemigroup
 
-from oracles import edges_at_vertices, primitive_int_vector
+from oracles import CohClass, edges_at_vertices, primitive_int_vector
 
 
 def unit_box(dims):
@@ -152,14 +151,14 @@ def brute_force_decomposition(point, base_points, m):
 def relation_class(ring, i):
     """x_i^2 + sum_j A^i_j x_j x_i as an unreduced-then-reduced class."""
     exp = tuple(2 if t == i - 1 else 0 for t in range(ring.n))
-    out = ring.reduce_exponents(exp)
+    out = CohClass.monomial(ring, exp)
     for j in range(i, ring.n):
         coef = ring.a[i - 1][j]
         if coef == 0:
             continue
         exp = tuple((1 if t == i - 1 else 0) + (1 if t == j else 0)
                     for t in range(ring.n))
-        out = out + ring.reduce_exponents(exp).scaled(Fraction(coef))
+        out = out + CohClass.monomial(ring, exp).scaled(coef)
     return out
 
 
@@ -180,7 +179,7 @@ def primitive_square_zero(ring, bound=3):
             g = gcd(g, abs(c))
         if g != 1:
             continue
-        z = ring.linear_class(coeffs)
+        z = CohClass.linear(ring, coeffs)
         if (z * z).is_zero():
             out.append(z)
     return out

@@ -13,16 +13,19 @@ pair, and the slide from a rebuilt, re-counted point set.  The Bott
 cube oracle is the generic geometric test that preceded the fibration
 criterion.  The q-triviality, exceptional-type, composition and ring-map
 oracles multiply ring classes through the general normal form, where the
-library reads closed degree-2 forms off the matrices.  The simplex-search
-oracle solves one LP per unimodular candidate, found by a Fraction
-determinant, where the library solves one per facet-load vector; the
-elimination oracle normalizes every derived row through the Fraction lcm
-path.  The linear algebra oracles are the eliminations `linalg.rref`
-replaced: a forward-elimination determinant, Cramer's rule and
-Gauss-Jordan solves, a per-column inverse, the primitive vector scaling
-`HalfSpace.make` used, and a flat hull whose basis is picked greedily, one
-rank test per point difference.  They are kept only to check the
-production code against; most of them are exponential in the dimension.
+library reads closed degree-2 forms off the matrices; the class arithmetic
+they use (`CohClass`, `apply`, `special_elements`) is kept here, since the
+library's classes are coefficient rows and dicts.  The normal-form oracle
+rewrites the polynomial term by term, with neither memo nor degree cut.
+The simplex-search oracle solves one LP per unimodular candidate, found by
+a Fraction determinant, where the library solves one per facet-load vector;
+the elimination oracle normalizes every derived row through the Fraction
+lcm path.  The linear algebra oracles are the eliminations `linalg.rref`
+replaced: a forward-elimination determinant, Cramer's rule and Gauss-Jordan
+solves, a per-column inverse, the primitive vector scaling `HalfSpace.make`
+used, and a flat hull whose basis is picked greedily, one rank test per
+point difference.  They are kept only to check the production code against;
+most of them are exponential in the dimension.
 """
 
 from fractions import Fraction
@@ -31,7 +34,7 @@ from math import ceil, floor, gcd
 from unittest import mock
 
 from toricdeg import linalg
-from toricdeg.bott import BottData, ExceptionalType, RingMap, bott_polytope, special_elements
+from toricdeg.bott import BottData, CohRing, ExceptionalType, RingMap, bott_polytope
 from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, UnboundedError
 from toricdeg.geometry import (
     HalfSpace,
@@ -301,6 +304,119 @@ def is_hypercube_oracle(b: BottData) -> bool:
     return True
 
 
+def reduce_exponents_oracle(a, exp):
+    """Normal form of a monomial by rewriting the polynomial itself: while a
+    term has a square x_i^2, replace it by -sum_j A^i_j x_i x_j.  Terms are
+    taken by least weight sum_i i e_i, which every rewrite raises, so none is
+    met twice.  No memo and no degree cut: in degree > n every term dies
+    when the rewriting runs out of indices."""
+    n = len(exp)
+    poly = {tuple(exp): Fraction(1)}
+    out = {}
+    while poly:
+        e = min(poly, key=lambda t: sum(i * x for i, x in enumerate(t)))
+        c = poly.pop(e)
+        sq = next((i for i, x in enumerate(e) if x >= 2), None)
+        if sq is None:
+            mask = sum(1 << i for i, x in enumerate(e) if x)
+            out[mask] = out.get(mask, 0) + c
+            continue
+        for j in range(sq + 1, n):
+            if a[sq][j]:
+                t = list(e)
+                t[sq] -= 1
+                t[j] += 1
+                t = tuple(t)
+                poly[t] = poly.get(t, 0) - a[sq][j] * c
+    return {m: c for m, c in out.items() if c}
+
+
+class CohClass:
+    """A class of a `CohRing` with sums, scaling and products, the last
+    through `CohRing.multiply`; keys are index bitmasks."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs):
+        self.ring = ring
+        self.coeffs = {m: Fraction(c) for m, c in coeffs.items() if c != 0}
+
+    @staticmethod
+    def one(ring):
+        return CohClass(ring, {0: 1})
+
+    @staticmethod
+    def generator(ring, i):
+        """x_i for 1-based i."""
+        return CohClass(ring, {1 << (i - 1): 1})
+
+    @staticmethod
+    def linear(ring, coeffs):
+        return CohClass(ring, {1 << i: c for i, c in enumerate(coeffs)})
+
+    @staticmethod
+    def monomial(ring, exp):
+        return CohClass(ring, ring.reduce_exponents(exp))
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = out.get(m, 0) + c
+        return CohClass(self.ring, out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, factor):
+        return CohClass(self.ring, {m: c * factor for m, c in self.coeffs.items()})
+
+    def __mul__(self, other):
+        return CohClass(self.ring, self.ring.multiply(self.coeffs, other.coeffs))
+
+    def __eq__(self, other):
+        return (isinstance(other, CohClass) and self.ring == other.ring
+                and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return f"CohClass({self.coeffs!r})"
+
+
+def omega_class(ring, lam) -> CohClass:
+    return CohClass.linear(ring, lam)
+
+
+def special_elements(b: BottData, k: int):
+    """(alpha_k, y_k): alpha_k = -sum_j A^k_j x_j and y_k = x_k - alpha_k / 2."""
+    ring = CohRing.of(b)
+    alpha = CohClass.linear(ring, [-x for x in b.a[k - 1]])
+    y = CohClass.generator(ring, k) - alpha.scaled(Fraction(1, 2))
+    return alpha, y
+
+
+def images(f: RingMap):
+    """The generator images f(x_i) as classes of the target ring."""
+    return tuple(CohClass.linear(f.target, row) for row in f.m)
+
+
+def apply(f: RingMap, cls: CohClass) -> CohClass:
+    """f on a class of any degree: each basis monomial goes to the product
+    of its generator images."""
+    if cls.ring != f.source:
+        raise ValueError("class does not live in the source ring")
+    imgs = images(f)
+    out = CohClass(f.target, {})
+    for mask, coef in cls.coeffs.items():
+        term = CohClass.one(f.target)
+        for i in range(f.source.n):
+            if (mask >> i) & 1:
+                term = term * imgs[i]
+        out = out + term.scaled(coef)
+    return out
+
+
 def exceptional_type_oracle(b: BottData, k: int):
     """Least l > k with alpha_k = c * y_l compared as ring classes."""
     row = b.a[k - 1]
@@ -344,29 +460,30 @@ def compose_oracle(f: RingMap, after: RingMap) -> RingMap:
     """x -> after(self(x)) by applying `after` to each image class."""
     if f.target != after.source:
         raise ValueError("maps do not compose")
-    images = tuple(after.apply(img) for img in f.images)
-    return RingMap(f.source, after.target, linear_matrix(images, after.target.n))
+    imgs = tuple(apply(after, img) for img in images(f))
+    return RingMap(f.source, after.target, linear_matrix(imgs, after.target.n))
 
 
-def ring_map_check_oracle(f: RingMap, source, target, omega, omega_t) -> bool:
+def ring_map_check_oracle(f: RingMap, lam, lam_t) -> bool:
     """`bott.ring_map_check` with each source relation multiplied out as a
-    ring class on the generator images."""
-    images = f.images
-    m = linear_matrix(images, f.target.n)
+    ring class on the generator images, and omega carried by `apply`."""
+    source = f.source
+    imgs = images(f)
+    m = linear_matrix(imgs, f.target.n)
     if any(c.denominator != 1 for row in m for c in row):
         return False
     if abs(linalg.mat_det(m)) != 1:
         return False
     for i in range(1, source.n + 1):
-        xi = images[i - 1]
+        xi = imgs[i - 1]
         rel = xi * xi
         for j in range(source.n):
             coef = source.a[i - 1][j]
             if coef:
-                rel = rel + (images[j] * xi).scaled(coef)
+                rel = rel + (imgs[j] * xi).scaled(coef)
         if not rel.is_zero():
             return False
-    return f.apply(omega) == omega_t
+    return apply(f, omega_class(source, lam)) == omega_class(f.target, lam_t)
 
 
 def unimodular_candidates_oracle(n, bound):

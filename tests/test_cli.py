@@ -101,6 +101,17 @@ class TestCommands:
         assert code == 0
         assert rep["normal_form"] == {"1,2": "-2"}
 
+    def test_bott_reduce_past_top_degree(self, tmp_path, capsys):
+        # x_1^3000 lies past degree n = 2, where the ring is zero; reducing it
+        # one square at a time would overflow the recursion
+        cls = {"monomials": {",".join(["1"] * 3000): 1}}
+        code, rep = run(capsys, ["bott-reduce", "--bott",
+                                 write(tmp_path, "b.json",
+                                       {"n": 2, "A": [[0, 1], [0, 0]], "lambda": ["1", "5"]}),
+                                 "--class", write(tmp_path, "c.json", cls)])
+        assert code == 0
+        assert rep["normal_form"] == {} and rep["zero"] is True
+
     def test_normal_and_smooth_checks(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", RECT)
         code, rep = run(capsys, ["normal-check", "--polytope", p, "--max-degree", "3"])
@@ -200,6 +211,18 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["summary"].startswith("4 vertices")
+
+    def test_verify_move_max_level_checked_first(self, tmp_path, capsys):
+        # x_1 is not exceptional here, so a late check would report the
+        # MoveError of the move instead of the malformed level bound
+        f = write(tmp_path, "b.json", {"n": 3, "A": [[0, 1, 1], [0, 0, 1], [0, 0, 0]],
+                                       "lambda": [1, 5, 9]})
+        code = main(["bott-verify-move", "--bott", f, "--k", "1", "--l", "2",
+                     "--max-level", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.err) == {"error": "schema",
+                                            "message": "max_level must be >= 1"}
 
     def test_max_level_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TORICDEG_MAX_LEVEL", "2")

@@ -12,7 +12,6 @@ from toricdeg import (
     is_normal,
     lattice_points,
     minkowski_sum,
-    vertices,
 )
 from toricdeg.errors import (
     EmptyPolytopeError,
@@ -58,17 +57,17 @@ class TestVertices:
     def test_unbounded(self):
         p = HPolytope.from_inequalities(2, [[-1, 0, 0], [0, -1, 0]])
         with pytest.raises(UnboundedError):
-            vertices(p)
+            p.vertex_set()
 
     def test_empty(self):
         p = HPolytope.from_inequalities(2, [[1, 0, 0], [-1, 0, -1], [0, 1, 1], [0, -1, 0]])
         with pytest.raises(EmptyPolytopeError):
-            vertices(p)
+            p.vertex_set()
 
     def test_empty_with_few_constraints(self):
         p = HPolytope.from_inequalities(2, [[1, 0, 0], [-1, 0, -1]])
         with pytest.raises(EmptyPolytopeError):
-            vertices(p)
+            p.vertex_set()
 
 
 class TestHull:
