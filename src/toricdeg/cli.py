@@ -234,15 +234,18 @@ def cmd_gw_formula(args):
 def cmd_gw_simplex(args):
     p = _load_polytope_arg(args.polytope)
     fit = gromov.best_simplex_lb(p, bound=args.bound, mode=args.mode, seed=args.seed)
+    # the heuristic walk never applies the entry bound
+    exhaustive = args.mode == "exhaustive"
+    detail = f"entry bound {args.bound}" if exhaustive else f"seed {args.seed}"
     return {
         "summary": f"simplex of size {jsonio.format_rational(fit.a)} fits "
-                   f"({args.mode} mode, entry bound {args.bound})",
+                   f"({args.mode} mode, {detail})",
         "mode": args.mode,
-        "bound": args.bound,
+        "bound": args.bound if exhaustive else None,
         "a": jsonio.format_rational(fit.a),
         "psi": [list(row) for row in fit.psi],
         "x": [jsonio.format_rational(x) for x in fit.x],
-        "certified_maximal": args.mode == "exhaustive",
+        "certified_maximal": exhaustive,
     }
 
 

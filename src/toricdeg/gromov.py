@@ -5,8 +5,15 @@ the standard orthogonal realizations of the classical families (plus G2).
 The simplex search looks for the largest open simplex of size a whose image
 under an integer unimodular map plus translation sits inside a polytope; the
 search is exhaustive over bounded matrix entries and certifies its answer
-with an explicit (a, Psi, x) triple.  Maps with the same facet loads share
-one LP, so the search solves one per load vector, not one per map.
+with an explicit (a, Psi, x) triple.
+
+The fit LP sees a map only through its facet loads, which depend only on
+the set of its columns, so the search scans column sets, C((2b+1)^n, n)
+determinants at entry bound b, and groups them by load vector.  By LP
+duality each group's optimum is the least ratio (b.r) / (c.r) over the
+extreme rays r of one cone per polytope, found once by the double
+description kernel; one Fourier-Motzkin solve on the winning group gives
+the witness x.
 
 Openness is harmless here: a closed convex set contains Psi(int S(a)) + x
 exactly when it contains the closed simplex vertices, so the fit test works
@@ -19,10 +26,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, lcm
+from operator import mul
 
 from . import linalg
 from .errors import LowerDimensionalError, UnboundedError, ZeroOrbitError
-from .geometry import HalfSpace, HPolytope, frac_vec
+from .geometry import HalfSpace, HPolytope, _extreme_rays, frac_vec
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
@@ -184,11 +193,19 @@ def fits(delta: HPolytope, fit: SimplexFit) -> bool:
     return True
 
 
-def _unimodular_candidates(n, bound):
-    """All integer matrices with entries in [-bound, bound] and det +-1, in
-    lexicographic order of the flattened entries."""
-    rows = list(product(range(-bound, bound + 1), repeat=n))
-    return (psi for psi in product(rows, repeat=n) if abs(linalg.mat_det(psi)) == 1)
+# Exhaustive search cap: the number of column sets C((2b+1)^n, n), each
+# one determinant.
+MAX_COLUMN_SETS = 2_000_000
+
+
+def _column_sets(n, bound):
+    """Unimodular psi with entries in [-bound, bound], one per set of
+    columns: the columns in lexicographic order, which makes psi the
+    row-major-least matrix with that column set."""
+    cols = product(range(-bound, bound + 1), repeat=n)     # lexicographic
+    for c in combinations(cols, n):
+        if abs(linalg.mat_det(c)) == 1:
+            yield tuple(zip(*c))
 
 
 class _FacetDots(dict):
@@ -209,6 +226,49 @@ def _facet_loads(dots: _FacetDots, psi):
     return tuple(max(0, *d) for d in zip(*(dots[col] for col in zip(*psi))))
 
 
+def _load_groups(delta: HPolytope, bound):
+    """{load vector: row-major-least psi producing it} over every unimodular
+    psi with entries in [-bound, bound]."""
+    dots = _FacetDots(delta)
+    groups = {}
+    for psi in _column_sets(delta.dim, bound):
+        loads = _facet_loads(dots, psi)
+        groups[loads] = min(groups.get(loads, psi), psi)
+    return groups
+
+
+def _fit_value(delta: HPolytope):
+    """The optimum of the fit LP max{a : u_h.x + c_h a <= b_h, a >= 0} as a
+    function of the load vector c, by LP duality.
+
+    The dual minimizes b.y over {y >= 0 : sum_h y_h u_h = 0, c.y >= 1}, so
+    its optimum sits on an extreme ray r of the pointed cone
+    {y >= 0 : sum_h y_h u_h = 0} scaled to c.r = 1: the value is the least
+    (b.r) / (c.r) over the rays with c.r > 0.  Delta is bounded and full
+    dimensional, so every load vector of a unimodular psi has such a ray.
+    The rays come from one double-description call per polytope; ratios are
+    compared by integer cross-multiplication.
+    """
+    normals = [h.normal for h in delta.halfspaces]
+    m = len(normals)
+    rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    for col in zip(*normals):
+        rows += [col, tuple(-x for x in col)]
+    scale = lcm(*(h.rhs.denominator for h in delta.halfspaces))
+    rhs = [h.rhs.numerator * (scale // h.rhs.denominator) for h in delta.halfspaces]
+    rays = [(sum(map(mul, rhs, r)), r) for r in _extreme_rays(rows, m)]
+
+    def value(loads):
+        num, den = None, 0
+        for w, r in rays:
+            d = sum(map(mul, loads, r))
+            if d > 0 and (not den or w * den < num * d):
+                num, den = w, d
+        return Fraction(num, den * scale)
+
+    return value
+
+
 def _best_fit(delta: HPolytope, loads, psi):
     """Exact LP in (a, x): maximize a with all mapped vertices inside delta.
 
@@ -220,8 +280,6 @@ def _best_fit(delta: HPolytope, loads, psi):
     rows = [((c,) + tuple(h.normal), h.rhs) for c, h in zip(loads, delta.halfspaces)]
     rows.append(((-1,) + (0,) * n, Fraction(0)))
     value, witness = linalg.fm_maximize(rows, n + 1, objective_index=0)
-    if value is None:
-        return None
     return SimplexFit(Fraction(value), psi, tuple(witness[1:]))
 
 
@@ -229,12 +287,17 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
                     seed: int = 0, steps: int = 400) -> SimplexFit:
     """Largest certified simplex over unimodular maps with bounded entries.
 
-    Exhaustive mode scans every psi with entries in [-bound, bound] (kept to
-    n <= 3) and solves one exact LP per distinct facet-load vector; the
-    result is a valid lower bound for any bound, and grows monotonically
-    with it.  Ties break lexicographically on the flattened psi.  Heuristic
-    mode is a seeded random walk over unimodular row operations; it
-    certifies whatever it finds but makes no maximality claim.
+    Exhaustive mode (n <= 3) scans every set of n columns with entries in
+    [-bound, bound], C((2 bound + 1)^n, n) determinants, refused above
+    MAX_COLUMN_SETS.  The unimodular sets fall into groups by facet-load
+    vector; each group's LP value is one exact ray ratio (`_fit_value`), the
+    best value wins with ties broken lexicographically on the flattened psi,
+    and one Fourier-Motzkin solve on the winner gives the lex-least witness
+    x.  The result is a valid lower bound for any bound, and grows
+    monotonically with it.  Heuristic mode is a seeded random walk over
+    unimodular row operations that uses the same values and one final
+    Fourier-Motzkin solve; it certifies whatever it finds but makes no
+    maximality claim.
     """
     if not delta.is_bounded():
         raise UnboundedError("unbounded")
@@ -246,32 +309,20 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
             raise ValueError("exhaustive search supported for n <= 3; use heuristic")
         if bound < 1:
             raise ValueError("bound must be >= 1")
-        if (2 * bound + 1) ** (n * n) > 2_000_000:
+        if comb((2 * bound + 1) ** n, n) > MAX_COLUMN_SETS:
             raise ValueError(
                 "exhaustive candidate space too large at this bound and "
                 "dimension; lower the bound or use the heuristic mode")
-        # One LP per distinct load vector, certified by the first (so
-        # lex-least) psi that produces it; the rest of its group would
-        # give the same (a, x) and lose the tie-break.
-        dots = _FacetDots(delta)
-        groups = {}
-        for psi in _unimodular_candidates(n, bound):
-            groups.setdefault(_facet_loads(dots, psi), psi)
-        best = None
-        for loads, psi in groups.items():
-            fit = _best_fit(delta, loads, psi)
-            if fit is None:
-                continue
-            key = (-fit.a, tuple(x for row in psi for x in row))
-            if best is None or key < best[0]:
-                best = (key, fit)
-        return best[1]
+        value = _fit_value(delta)
+        loads, psi = min(_load_groups(delta, bound).items(),
+                         key=lambda g: (-value(g[0]), g[1]))
+        return _best_fit(delta, loads, psi)
     if mode == "heuristic":
         rng = random.Random(seed)
         dots = _FacetDots(delta)
-        psi = linalg.identity(n)
-        best = _best_fit(delta, _facet_loads(dots, psi), psi)
-        current = psi
+        value = _fit_value(delta)
+        best = current = linalg.identity(n)
+        best_a = value(_facet_loads(dots, best))
         for _ in range(steps):
             cand = [list(row) for row in current]
             op = rng.randrange(3)
@@ -288,9 +339,10 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
             cand = tuple(tuple(row) for row in cand)
             if abs(linalg.mat_det(cand)) != 1:
                 continue
-            fit = _best_fit(delta, _facet_loads(dots, cand), cand)
-            if fit is not None and fit.a >= best.a:
-                best = fit if fit.a > best.a else best
+            a = value(_facet_loads(dots, cand))
+            if a >= best_a:
+                if a > best_a:
+                    best, best_a = cand, a
                 current = cand
-        return best
+        return _best_fit(delta, _facet_loads(dots, best), best)
     raise ValueError(f"unknown mode {mode!r}")

@@ -18,8 +18,9 @@ they use (`CohClass`, `apply`, `special_elements`) is kept here, since the
 library's classes are coefficient rows and dicts.  The normal-form oracle
 rewrites the polynomial term by term, with neither memo nor degree cut.
 The simplex-search oracle solves one LP per unimodular candidate, found by
-a Fraction determinant, where the library solves one per facet-load vector;
-the elimination oracle normalizes every derived row through the Fraction
+a scan of every bounded-entry matrix, where the library scans column sets,
+values each facet-load vector by a dual-ray ratio and solves one LP; the
+elimination oracle normalizes every derived row through the Fraction
 lcm path.  The linear algebra oracles are the eliminations `linalg.rref`
 replaced: a forward-elimination determinant, Cramer's rule and Gauss-Jordan
 solves, a per-column inverse, the primitive vector scaling `HalfSpace.make`
@@ -511,6 +512,18 @@ def best_fit_for_psi_oracle(delta: HPolytope, psi):
     if value is None:
         return None
     return SimplexFit(Fraction(value), psi, tuple(witness[1:]))
+
+
+def load_groups_oracle(delta: HPolytope, bound):
+    """{facet-load vector: first psi producing it} over the full scan of
+    unimodular candidates, in flattened lexicographic order."""
+    groups = {}
+    for psi in unimodular_candidates_oracle(delta.dim, bound):
+        cols = list(zip(*psi))
+        loads = tuple(max(0, max(linalg.vec_dot(h.normal, col) for col in cols))
+                      for h in delta.halfspaces)
+        groups.setdefault(loads, psi)
+    return groups
 
 
 def best_simplex_lb_oracle(delta: HPolytope, bound):

@@ -64,6 +64,16 @@ class TestCommands:
         assert code == 0
         assert rep["a"] == "1"
 
+    def test_gw_simplex_heuristic_claims_no_bound(self, tmp_path, capsys):
+        # the random walk never applies --bound, so the report names the seed
+        sq = {"dim": 2, "vertices": [[0, 0], [3, 0], [0, 2], [3, 2]]}
+        code, rep = run(capsys, ["gw-simplex", "--polytope", write(tmp_path, "p.json", sq),
+                                 "--bound", "3", "--mode", "heuristic", "--seed", "5"])
+        assert code == 0
+        assert rep["bound"] is None
+        assert rep["summary"] == f"simplex of size {rep['a']} fits (heuristic mode, seed 5)"
+        assert rep["certified_maximal"] is False
+
     def test_bott_equiv_identity(self, tmp_path, capsys):
         f = write(tmp_path, "b.json", BOTT0)
         code, rep = run(capsys, ["bott-equiv", f, f])

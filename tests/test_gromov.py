@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from toricdeg import hull
+from toricdeg import gromov, hull
 from toricdeg.errors import LowerDimensionalError, ZeroOrbitError
 from toricdeg.geometry import HPolytope
 from toricdeg.gromov import (
@@ -16,11 +16,17 @@ from toricdeg.gromov import (
     gw_formula,
     simplex,
     simplex_vertices,
-    _unimodular_candidates,
+    _fit_value,
+    _load_groups,
 )
 
 from conftest import corner_simplex, random_integral_polygon, unit_box
-from oracles import best_simplex_lb_oracle, unimodular_candidates_oracle
+from oracles import (
+    best_fit_for_psi_oracle,
+    best_simplex_lb_oracle,
+    load_groups_oracle,
+    unimodular_candidates_oracle,
+)
 
 
 def oracle_best_a(delta, bound):
@@ -291,12 +297,46 @@ def certificate(fit):
     return (fit.a, fit.psi, fit.x)
 
 
+def box_3d():
+    return unit_box([1, 2, 1])
+
+
+def rational_body_3d():
+    return HPolytope.from_inequalities(3, [
+        [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
+        [1, 0, 0, Fraction(3, 2)], [0, 1, 0, 2], [0, 0, 1, Fraction(5, 3)],
+        [1, 1, 1, Fraction(7, 2)]])
+
+
+def with_redundant_rows(rng, p):
+    """p plus two rows that cut nothing: one parallel to a facet and one
+    with a fresh normal, each pushed out by a seeded slack >= 0 (so the
+    second may touch a vertex)."""
+    verts = p.vertex_set()
+    h = rng.choice(p.halfspaces)
+    normal = (rng.randint(-3, 3), rng.choice((-2, -1, 1, 2)))
+    top = max(sum(a * x for a, x in zip(normal, v)) for v in verts)
+    return HPolytope.from_inequalities(2, [
+        list(g.normal) + [g.rhs] for g in p.halfspaces] + [
+        list(h.normal) + [h.rhs + Fraction(rng.randint(1, 5), rng.randint(1, 3))],
+        list(normal) + [top + Fraction(rng.randint(0, 3), rng.randint(1, 3))]])
+
+
+def segment(lo, hi):
+    return HPolytope.from_inequalities(1, [[-1, -Fraction(lo)], [1, Fraction(hi)]])
+
+
 class TestSearchOracle:
     """The load-vector quotient against one LP per unimodular candidate."""
 
     @pytest.mark.parametrize("n, bound", [(2, 1), (2, 2), (2, 3), (3, 1)])
-    def test_enumeration_matches_oracle(self, n, bound):
-        assert list(_unimodular_candidates(n, bound)) == unimodular_candidates_oracle(n, bound)
+    def test_load_groups_match_oracle(self, rng, n, bound):
+        # the column-set enumeration gives every load vector the same
+        # representative psi as the first candidate of the full scan
+        bodies = [box_3d()] if n == 3 else [
+            random_integral_polygon(rng) for _ in range(3)] + [rational_polygon(rng)]
+        for p in bodies:
+            assert _load_groups(p, bound) == load_groups_oracle(p, bound), p
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_polygons_match_oracle(self, rng, bound):
@@ -306,15 +346,79 @@ class TestSearchOracle:
                 certificate(best_simplex_lb_oracle(p, bound)), p
 
     def test_3d_bodies_match_oracle(self):
-        box = unit_box([1, 2, 1])
-        bodies = [box, corner_simplex(3, 2), HPolytope.from_inequalities(3, [
-            [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0],
-            [1, 0, 0, Fraction(3, 2)], [0, 1, 0, 2], [0, 0, 1, Fraction(5, 3)],
-            [1, 1, 1, Fraction(7, 2)]])]
+        box = box_3d()
+        bodies = [box, corner_simplex(3, 2), rational_body_3d()]
         wants = [best_simplex_lb_oracle(p, 1) for p in bodies]
         for p, want in zip(bodies, wants):
             assert certificate(best_simplex_lb(p, 1)) == certificate(want)
-        # bound 2 scans 1.95M matrices, 135408 of them unimodular
+        # bound 2 scans C(125, 3) = 317750 column sets, 22568 of them unimodular
         fit = best_simplex_lb(box, 2)
         assert fits(box, fit)
         assert fit.a == wants[0].a
+
+
+class TestDualRays:
+    """Every load group's dual-ray value against Fourier-Motzkin on the same
+    LP (one `fm_maximize` per group, through the per-psi oracle)."""
+
+    @staticmethod
+    def check(p, bound):
+        value = _fit_value(p)
+        groups = _load_groups(p, bound)
+        assert groups
+        for loads, psi in groups.items():
+            assert value(loads) == best_fit_for_psi_oracle(p, psi).a, (p, loads)
+
+    def test_integer_polygons(self, rng):
+        for _ in range(10):
+            self.check(random_integral_polygon(rng, npoints=rng.randint(3, 7)), 2)
+
+    def test_rational_polygons(self, rng):
+        for _ in range(10):
+            self.check(rational_polygon(rng), 2)
+
+    def test_redundant_rows(self, rng):
+        for t in range(10):
+            p = rational_polygon(rng) if t % 2 else random_integral_polygon(rng)
+            q = with_redundant_rows(rng, p)
+            assert len(q.halfspaces) > len(p.halfspaces)
+            self.check(q, 2)
+
+    def test_segments(self, rng):
+        for _ in range(10):
+            lo = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            self.check(segment(lo, lo + Fraction(rng.randint(1, 9), rng.randint(1, 4))), 3)
+
+    @pytest.mark.parametrize("body", [box_3d, lambda: corner_simplex(3, 2),
+                                      rational_body_3d])
+    def test_3d_bodies(self, body):
+        self.check(body(), 1)
+
+
+class TestSearchCap:
+    """The exhaustive search is capped by its real work, C((2b+1)^n, n)
+    column sets, and refuses before it enumerates anything."""
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        class Enumerated(Exception):
+            pass
+
+        def enumerate_(*args, **kwargs):
+            raise Enumerated
+
+        monkeypatch.setattr(gromov, "product", enumerate_)
+        monkeypatch.setattr(gromov, "combinations", enumerate_)
+        return Enumerated
+
+    @pytest.mark.parametrize("n, bound", [(2, 22), (3, 3)])
+    def test_refused_before_enumeration(self, no_enumeration, n, bound):
+        # C(45^2, 2) = 2049300 and C(343, 3) = 6666891 column sets
+        with pytest.raises(ValueError, match="candidate space too large"):
+            best_simplex_lb(unit_box([1] * n), bound)
+
+    @pytest.mark.parametrize("n, bound", [(2, 21), (3, 2)])
+    def test_largest_admitted(self, no_enumeration, n, bound):
+        # C(43^2, 2) = 1708476 and C(125, 3) = 317750 reach the enumeration
+        with pytest.raises(no_enumeration):
+            best_simplex_lb(unit_box([1] * n), bound)

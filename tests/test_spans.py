@@ -5,7 +5,7 @@ counters must count the calls the library really makes."""
 
 import importlib
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import toricdeg
@@ -54,7 +54,8 @@ def test_tracer_patches_every_span_and_restores_the_library(monkeypatch):
 
 def test_simplex_search_counters_see_every_determinant(monkeypatch, tmp_path, capsys):
     # gromov.matrices_scanned and gromov.unimodular count the determinants
-    # best_simplex_lb itself takes: every 2x2 entry matrix at bound 1.
+    # best_simplex_lb itself takes: one per unordered pair of distinct
+    # columns with entries in [-1, 1].
     monkeypatch.syspath_prepend(str(PERFBENCH))
     sys.modules.pop("spans", None)
     spans = importlib.import_module("spans")
@@ -70,8 +71,8 @@ def test_simplex_search_counters_see_every_determinant(monkeypatch, tmp_path, ca
         sys.modules.pop("spans", None)
     capsys.readouterr()
     assert code == 0
-    entries = range(-1, 2)
-    unimodular = sum(abs(a * d - b * c) == 1 for a, b, c, d in product(entries, repeat=4))
+    pairs = list(combinations(product(range(-1, 2), repeat=2), 2))
+    unimodular = sum(abs(a * d - b * c) == 1 for (a, c), (b, d) in pairs)
     metrics = tracer.metrics()
-    assert metrics["gromov.matrices_scanned"] == 3 ** 4
+    assert metrics["gromov.matrices_scanned"] == len(pairs) == 36
     assert metrics["gromov.unimodular"] == unimodular > 0
