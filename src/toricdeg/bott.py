@@ -73,9 +73,7 @@ def bott_polytope(b: BottData) -> HPolytope:
         half.append(HalfSpace(lower, Fraction(0)))
         upper = tuple((1 if i == j else 0) + b.a[i][j] for i in range(b.n))
         half.append(HalfSpace(upper, b.lam[j]))
-    # d >= 0 with d_j + sum_{i<j} A^i_j d_i <= 0 forces d = 0 inductively,
-    # so the system is always bounded.
-    return HPolytope(b.n, half, _bounded=True)
+    return HPolytope(b.n, half)
 
 
 def is_hypercube(b: BottData) -> bool:

@@ -3,8 +3,8 @@
 Every subcommand reads JSON, computes with exact arithmetic, and prints a
 deterministic JSON report; rationals are serialized as "p/q".  Exit codes:
 0 success (verdicts live in the JSON body, not the exit code), 2 malformed
-input, 3 mathematical precondition failure, 4 internal error (a broken
-invariant inside the library, reported as {"error": "internal", ...}).
+input, 3 mathematical precondition failure or work limit exceeded, 4
+internal error (a broken library invariant, as {"error": "internal", ...}).
 """
 
 from __future__ import annotations

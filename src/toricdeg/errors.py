@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Mathematical precondition failures raise subclasses of ToricDegError so the
-CLI can map them to a dedicated exit code; malformed input is SchemaError.
+Precondition failures and requests past a documented work limit raise
+subclasses of ToricDegError so the CLI maps them to a dedicated exit code;
+malformed input is SchemaError.
 """
 
 
@@ -55,3 +56,7 @@ class NotQTrivialError(ToricDegError):
 
 class MoveError(ToricDegError):
     """Requested degeneration move is not available for this data."""
+
+
+class WorkLimitError(ToricDegError):
+    """Well-formed request exceeds a documented work limit."""

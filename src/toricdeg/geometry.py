@@ -5,10 +5,11 @@ sides; V-polytopes and lattice point sets are canonically sorted tuples.  All
 predicates run in exact arithmetic, there is no floating point anywhere.
 
 Both representation conversions (vertex enumeration H->V and convex hull
-V->H), the boundedness test and Delzant smoothness (edges as the extreme rays
-of each vertex's tangent cone) run on one integer double-description kernel,
-`_extreme_rays`.  Lattice point enumeration scans the bounding box by slabs;
-it is a documented desk-scale choice (dimension <= 8).
+V->H) and Delzant smoothness (edges as the extreme rays of each vertex's
+tangent cone) run on one integer double-description kernel, `_extreme_rays`;
+an H-polytope reads boundedness, emptiness and its vertices from one cached
+run on its homogenized cone.  Lattice point enumeration scans the bounding
+box by slabs; it is a documented desk-scale choice (dimension <= 8).
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def _extreme_rays(rows, D):
     projects the rest onto its hyperplane; any other row keeps the rays on
     its nonnegative side and combines each adjacent pair it separates
     (combinatorial zero-set test).  Rows are scaled by their denominator
-    lcm, so all arithmetic is on integers.  Returns primitive integer rays,
-    or None when the rows have rank < D (the cone is not pointed).
+    lcm, so all arithmetic is on integers.  Returns (lineality, rays), the
+    cone being their span plus the cone of the primitive integer rays; the
+    lineality is empty (the cone pointed) exactly when the rows have rank D.
     """
     lin = [tuple(int(i == j) for j in range(D)) for i in range(D)]
     rays = []                       # (ray, bitmask of the rows it is tight on)
@@ -90,7 +92,7 @@ def _extreme_rays(rows, D):
                                 common | bit))
             rays = nxt
         done |= bit
-    return None if lin else [r for r, _ in rays]
+    return lin, [r for r, _ in rays]
 
 
 @dataclass(frozen=True)
@@ -166,17 +168,17 @@ class HPolytope:
 
     __slots__ = ("dim", "halfspaces", "_vertices", "_bounded")
 
-    def __init__(self, dim, halfspaces, *, _bounded=None):
+    def __init__(self, dim, halfspaces):
         if dim < 1 or dim > MAX_DIM:
             raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
         hs = sorted(set(halfspaces), key=lambda h: (h.normal, h.rhs))
         for h in hs:
             if len(h.normal) != dim:
                 raise ValueError("halfspace dimension mismatch")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "halfspaces", tuple(hs))
-        object.__setattr__(self, "_vertices", None)
-        object.__setattr__(self, "_bounded", _bounded)
+        self.dim = dim
+        self.halfspaces = tuple(hs)
+        self._vertices = None
+        self._bounded = None
 
     @staticmethod
     def from_inequalities(dim, rows):
@@ -187,10 +189,7 @@ class HPolytope:
     def _key(self):
         """The vertex set when there is one, else the halfspaces.  Equal
         polytopes share it even when redundant rows set them apart."""
-        try:
-            return self.vertex_set()
-        except (UnboundedError, EmptyPolytopeError):
-            return self.halfspaces
+        return self._vertices if self.is_bounded() and self._vertices else self.halfspaces
 
     def __eq__(self, other):
         if not isinstance(other, HPolytope):
@@ -209,48 +208,39 @@ class HPolytope:
             raise ValueError("point dimension mismatch")
         return all(h.holds(point) for h in self.halfspaces)
 
+    def _describe(self):
+        """One cached double description of {(x, t) : <a, x> <= b t, t >= 0}.
+
+        The lineality and the rays with t = 0 span the recession cone; the
+        points of the rays with t > 0 are the vertices when that cone is
+        trivial, and there are none exactly when the system is empty.
+        """
+        if self._vertices is None:
+            n = self.dim
+            rows = [(0,) * n + (1,)] + [tuple(-a for a in h.normal) + (h.rhs,)
+                                        for h in self.halfspaces]
+            lin, rays = _extreme_rays(rows, n + 1)
+            self._bounded = not lin and all(r[n] for r in rays)
+            self._vertices = tuple(
+                sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n]))
+
     def is_bounded(self):
         """True when the recession cone of the inequality system is trivial."""
-        if self._bounded is None:
-            self._ray_vertices()
+        self._describe()
         return self._bounded
-
-    def _ray_vertices(self):
-        """Vertices from the extreme rays of {(x, t) : <a, x> <= b t, t >= 0}.
-
-        Rays with t > 0 are the vertices and rays with t = 0 span the
-        recession cone.  Caches boundedness; returns the sorted vertices, or
-        None when the normals have rank < dim and the cone is not pointed.
-        """
-        n = self.dim
-        rows = [(0,) * n + (1,)] + [tuple(-a for a in h.normal) + (h.rhs,)
-                                    for h in self.halfspaces]
-        rays = _extreme_rays(rows, n + 1)
-        object.__setattr__(self, "_bounded", rays is not None and all(r[n] for r in rays))
-        return None if rays is None else tuple(
-            sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n]))
 
     def vertex_set(self):
         """Sorted vertex tuples; raises UnboundedError or EmptyPolytopeError."""
-        if self._vertices is None:
-            verts = self._ray_vertices()
-            # Without a pointed cone FM tells a nonempty system from an empty one.
-            if (verts and not self._bounded) or (verts is None and linalg.fm_feasible(
-                    [(h.normal, h.rhs) for h in self.halfspaces], self.dim)):
-                raise UnboundedError("unbounded")
-            if not verts:
-                raise EmptyPolytopeError("empty")
-            object.__setattr__(self, "_vertices", verts)
+        self._describe()
+        if not self._vertices:
+            raise EmptyPolytopeError("empty")
+        if not self._bounded:
+            raise UnboundedError("unbounded")
         return self._vertices
 
     def is_empty(self):
-        try:
-            self.vertex_set()
-            return False
-        except EmptyPolytopeError:
-            return True
-        except UnboundedError:
-            return False
+        self._describe()
+        return not self._vertices
 
     def affine_hull_dim(self):
         """Dimension of the affine span; lower-dimensional sets report < dim."""
@@ -274,10 +264,11 @@ class HPolytope:
         for h in self.halfspaces:
             a = linalg.mat_vec(linalg.transpose(minv), h.normal)
             half.append(HalfSpace.make(a, h.rhs + linalg.vec_dot(a, t)))
-        img = HPolytope(self.dim, half, _bounded=self._bounded)
+        img = HPolytope(self.dim, half)
         if self._vertices is not None:
-            verts = sorted(linalg.vec_add(linalg.mat_vec(m, v), t) for v in self._vertices)
-            object.__setattr__(img, "_vertices", tuple(verts))
+            img._bounded = self._bounded
+            img._vertices = tuple(
+                sorted(linalg.vec_add(linalg.mat_vec(m, v), t) for v in self._vertices))
         return img
 
 
@@ -286,11 +277,10 @@ def dilate(p: HPolytope, m) -> HPolytope:
     m = Fraction(m)
     if m <= 0:
         raise ValueError("dilation factor must be positive")
-    out = HPolytope(p.dim, [HalfSpace(h.normal, h.rhs * m) for h in p.halfspaces],
-                    _bounded=p._bounded)
+    out = HPolytope(p.dim, [HalfSpace(h.normal, h.rhs * m) for h in p.halfspaces])
     if p._vertices is not None:
-        verts = sorted(linalg.vec_scale(m, v) for v in p._vertices)
-        object.__setattr__(out, "_vertices", tuple(verts))
+        out._bounded = p._bounded
+        out._vertices = tuple(sorted(linalg.vec_scale(m, v) for v in p._vertices))
     return out
 
 
@@ -310,10 +300,10 @@ def hull(points, dim=None) -> HPolytope:
     dim = dim or len(pts[0])
     # Facets c.x + b >= 0 are the extreme rays (c, b) of the cone cut out by
     # the rows (p, 1); it is pointed exactly when the hull is full-dimensional.
-    rays = _extreme_rays([p + (1,) for p in pts], dim + 1)
-    if rays is not None:
+    lin, rays = _extreme_rays([p + (1,) for p in pts], dim + 1)
+    if not lin:
         return HPolytope(dim, [HalfSpace.make(tuple(-c for c in r[:dim]), r[dim])
-                               for r in rays], _bounded=True)
+                               for r in rays])
     x0 = pts[0]
     rows, pivots, _ = linalg.rref([linalg.vec_sub(p, x0) for p in pts[1:]])
     # Lower-dimensional hull: cut out the affine hull with equality pairs,
@@ -326,7 +316,7 @@ def hull(points, dim=None) -> HPolytope:
         neg = tuple(-x for x in row)
         half.append(HalfSpace.make(neg, linalg.vec_dot(neg, x0)))
     if not basis:
-        return HPolytope(dim, half, _bounded=True)
+        return HPolytope(dim, half)
     bmat = linalg.transpose(basis)          # dim x r, columns span directions
     tmat = linalg.left_inverse(bmat)        # r x dim with tmat @ bmat = I
     proj = [linalg.mat_vec(tmat, linalg.vec_sub(p, x0)) for p in pts]
@@ -334,7 +324,7 @@ def hull(points, dim=None) -> HPolytope:
     for h in inner.halfspaces:
         coeffs = linalg.mat_vec(linalg.transpose(tmat), h.normal)
         half.append(HalfSpace.make(coeffs, h.rhs + linalg.vec_dot(coeffs, x0)))
-    return HPolytope(dim, half, _bounded=True)
+    return HPolytope(dim, half)
 
 
 def lattice_points(p: HPolytope) -> LatticePointSet:
@@ -400,7 +390,7 @@ def is_delzant_smooth(p: HPolytope):
         raise LowerDimensionalError("smoothness requires a full-dimensional polytope")
     for v in p.vertex_set():
         tight = [tuple(-a for a in h.normal) for h in p.halfspaces if h.value(v) == h.rhs]
-        rays = _extreme_rays(tight, p.dim)
+        _, rays = _extreme_rays(tight, p.dim)
         if len(rays) != p.dim or abs(linalg.mat_det(rays)) != 1:
             return (False, v)
     return (True, None)

@@ -30,7 +30,7 @@ from math import comb, lcm
 from operator import mul
 
 from . import linalg
-from .errors import LowerDimensionalError, UnboundedError, ZeroOrbitError
+from .errors import LowerDimensionalError, UnboundedError, WorkLimitError, ZeroOrbitError
 from .geometry import HalfSpace, HPolytope, _extreme_rays, frac_vec
 
 FAMILIES = ("A", "B", "C", "D", "G2")
@@ -156,7 +156,7 @@ def simplex(n: int, a) -> tuple:
         items.append((HalfSpace(normal, Fraction(0)), False))
     items.append((HalfSpace((1,) * n, a), True))
     items.sort(key=lambda it: (it[0].normal, it[0].rhs))
-    poly = HPolytope(n, [h for h, _ in items], _bounded=True)
+    poly = HPolytope(n, [h for h, _ in items])
     flags = tuple(f for _, f in items)
     return poly, flags
 
@@ -256,7 +256,7 @@ def _fit_value(delta: HPolytope):
         rows += [col, tuple(-x for x in col)]
     scale = lcm(*(h.rhs.denominator for h in delta.halfspaces))
     rhs = [h.rhs.numerator * (scale // h.rhs.denominator) for h in delta.halfspaces]
-    rays = [(sum(map(mul, rhs, r)), r) for r in _extreme_rays(rows, m)]
+    rays = [(sum(map(mul, rhs, r)), r) for r in _extreme_rays(rows, m)[1]]
 
     def value(loads):
         num, den = None, 0
@@ -288,8 +288,8 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
     """Largest certified simplex over unimodular maps with bounded entries.
 
     Exhaustive mode (n <= 3) scans every set of n columns with entries in
-    [-bound, bound], C((2 bound + 1)^n, n) determinants, refused above
-    MAX_COLUMN_SETS.  The unimodular sets fall into groups by facet-load
+    [-bound, bound], C((2 bound + 1)^n, n) determinants (WorkLimitError above
+    MAX_COLUMN_SETS).  The unimodular sets fall into groups by facet-load
     vector; each group's LP value is one exact ray ratio (`_fit_value`), the
     best value wins with ties broken lexicographically on the flattened psi,
     and one Fourier-Motzkin solve on the winner gives the lex-least witness
@@ -310,7 +310,7 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if comb((2 * bound + 1) ** n, n) > MAX_COLUMN_SETS:
-            raise ValueError(
+            raise WorkLimitError(
                 "exhaustive candidate space too large at this bound and "
                 "dimension; lower the bound or use the heuristic mode")
         value = _fit_value(delta)

@@ -7,12 +7,13 @@ that returns the reduced rows, their pivot columns and the determinant of
 the leading square block.  Rank and nullspace read the pivots, `solve` is
 the RREF of [m | rhs], `mat_inverse` the RREF of [m | I], and `mat_det`
 past its 3x3 closed forms is the pivot product (an int for an integer
-matrix).  Fourier-Motzkin elimination lives here too because both the
-polytope kernel and the simplex search need exact feasibility and 1-d
-optimisation.  `primitive_row` scales each input row once to primitive
-integer coefficients; every row that elimination derives is an integer
-combination of such rows, so it is reduced by an integer gcd alone and only
-its right hand side stays a Fraction.
+matrix).  Fourier-Motzkin elimination gives the simplex search its reported
+witness (`fm_maximize`) and the tests exact feasibility oracles; the
+polytope kernel reads emptiness from its double description instead.
+`primitive_row` scales each input row once to primitive integer
+coefficients; every row that elimination derives is an integer combination
+of such rows, so it is reduced by an integer gcd alone and only its right
+hand side stays a Fraction.
 """
 
 from __future__ import annotations

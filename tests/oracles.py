@@ -82,7 +82,7 @@ def _hull_full_dim(points, dim):
             normal = tuple(-x for x in normal)
             c = -c
         half.add(HalfSpace.make(normal, c))
-    return HPolytope(dim, half, _bounded=True)
+    return HPolytope(dim, half)
 
 
 def hull_oracle(points, dim=None):
@@ -115,13 +115,13 @@ def flat_hull_oracle(points, dim=None, inner=hull):
         neg = tuple(-x for x in row)
         half.append(HalfSpace.make(neg, linalg.vec_dot(neg, x0)))
     if not basis:
-        return HPolytope(dim, half, _bounded=True)
+        return HPolytope(dim, half)
     tmat = linalg.left_inverse(linalg.transpose(basis))
     proj = [linalg.mat_vec(tmat, linalg.vec_sub(p, x0)) for p in pts]
     for h in inner(proj, r).halfspaces:
         coeffs = linalg.mat_vec(linalg.transpose(tmat), h.normal)
         half.append(HalfSpace.make(coeffs, h.rhs + linalg.vec_dot(coeffs, x0)))
-    return HPolytope(dim, half, _bounded=True)
+    return HPolytope(dim, half)
 
 
 def recession_trivial(p: HPolytope):

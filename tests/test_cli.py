@@ -7,6 +7,8 @@ from toricdeg.cli import main
 
 RECT = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 3], [0, 3]]}
 SQUARE2 = {"dim": 2, "inequalities": [[-1, 0, 0], [0, -1, 0], [1, 0, 2], [0, 1, 2]]}
+PENTAGON = {"dim": 2, "inequalities": [[-1, 0, 0], [0, -1, 0], [1, 0, 3], [0, 1, 3],
+                                        [1, 1, 5]]}
 BOTT0 = {"n": 2, "A": [[0, 0], [0, 0]], "lambda": ["1", "3"]}
 BOTT4 = {"n": 2, "A": [[0, 4], [0, 0]], "lambda": [1, 5]}
 
@@ -186,6 +188,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert "Unbounded" in captured.err
+
+    def test_work_limit_is_a_domain_error(self, tmp_path, capsys):
+        # a well-formed pentagon past the exhaustive search's work cap
+        # (C(45^2, 2) column sets at bound 22) is no malformed request
+        p = write(tmp_path, "p.json", PENTAGON)
+        code = main(["gw-simplex", "--polytope", p, "--bound", "22"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "WorkLimitError"
+        assert "candidate space too large" in err["message"]
 
     def test_float_rejected(self, tmp_path, capsys):
         bad = write(tmp_path, "f.json",

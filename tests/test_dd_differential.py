@@ -3,17 +3,20 @@ subset-enumeration oracles in oracles.py.
 
 Hulls must agree on the exact canonical halfspace tuple, vertex enumeration
 on the exact vertex tuple or on the exception class raised, the boundedness
-test on its verdict, and Delzant smoothness (tangent-cone rays against the
-pairwise edge scan) on the (verdict, vertex) pair or the exception class.
+test on its verdict, emptiness with Fourier-Motzkin feasibility (also for
+systems whose homogenized cone is not pointed), and Delzant smoothness
+(tangent-cone rays against the pairwise edge scan) on the (verdict, vertex)
+pair or the exception class.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from toricdeg import hull, is_delzant_smooth
+from toricdeg import hull, is_delzant_smooth, linalg
 from toricdeg.bott import bott_polytope
 from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, UnboundedError
 from toricdeg.geometry import HalfSpace, HPolytope
@@ -202,6 +205,40 @@ class TestVerticesAgainstOracle:
         assert_same_vertices(dim, box)
         simplex = [row for row in box if row[-1] == 0] + [[1] * dim + [Fraction(5, 2)]]
         assert_same_vertices(dim, simplex)
+
+
+class TestEmptinessAndBoundednessAgainstFM:
+    def test_low_rank_systems(self):
+        # Normals drawn mostly from a random subspace of rank < dim leave a
+        # lineality space; FM decides feasibility on its own.
+        rng = random.Random(2231)
+        seen = Counter()
+        for t in range(2000):
+            dim = 1 + t % 4
+            rank = rng.randint(1, dim - 1) if dim > 1 and rng.random() < 0.6 else dim
+            basis = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rank)]
+            rows = []
+            for _ in range(rng.randint(1, dim + 3)):
+                normal = [sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(dim)]
+                if not any(normal):
+                    normal = basis[0] if any(basis[0]) else [1] + [0] * (dim - 1)
+                rows.append(normal + [rational(rng, -4, 4)])
+
+            def make():         # fresh: each entry point fills the cache alone
+                return HPolytope.from_inequalities(dim, rows)
+
+            pointed = linalg.mat_rank([h.normal for h in make().halfspaces]) == dim
+            feasible = linalg.fm_feasible([(h.normal, h.rhs) for h in make().halfspaces], dim)
+            bounded = recession_trivial(make())
+            assert make().is_empty() == (not feasible), rows
+            assert make().is_bounded() == bounded, rows
+            got = outcome(HPolytope.vertex_set, make())
+            want = EmptyPolytopeError if not feasible else UnboundedError if not bounded else tuple
+            assert (tuple if isinstance(got, tuple) else got) is want, rows
+            seen[pointed, want] += 1
+        assert sum(n for (pointed, _), n in seen.items() if not pointed) >= 500, seen
+        assert min(seen[False, e] for e in (UnboundedError, EmptyPolytopeError)) >= 80, seen
+        assert min(seen[True, e] for e in (tuple, UnboundedError, EmptyPolytopeError)) >= 50, seen
 
 
 def smoothness(fn, p):

@@ -5,6 +5,8 @@ import pytest
 
 from toricdeg import (
     HPolytope,
+    geometry,
+    gromov,
     LatticePointSet,
     dilate,
     hull,
@@ -167,6 +169,61 @@ class TestDilate:
     def test_nonpositive_factor_rejected(self, factor):
         with pytest.raises(ValueError):
             dilate(unit_box([1, 1]), factor)
+
+
+class TestOneDoubleDescription:
+    """Boundedness, emptiness and the vertices come from one cached double
+    description per polytope; a dilate or unimodular image of a described
+    polytope inherits it."""
+
+    PENTAGON = [[-1, 0, 0], [0, -1, 0], [1, 0, 3], [0, 1, 3], [1, 1, 5]]
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+        original = geometry._extreme_rays
+
+        def counted(rows, D):
+            calls.append(D)
+            return original(rows, D)
+
+        monkeypatch.setattr(geometry, "_extreme_rays", counted)
+        monkeypatch.setattr(gromov, "_extreme_rays", counted)
+        return calls
+
+    def test_bounded_then_vertices_is_one_call(self, dd_calls):
+        p = HPolytope.from_inequalities(2, self.PENTAGON)
+        assert p.is_bounded()
+        assert len(p.vertex_set()) == 5
+        assert not p.is_empty()
+        assert len(dd_calls) == 1
+        assert p == HPolytope.from_inequalities(2, self.PENTAGON + [[1, 1, 6]])
+        assert len(dd_calls) == 2      # one for the other polytope
+
+    def test_images_of_a_described_polytope_make_none(self, dd_calls):
+        p = HPolytope.from_inequalities(2, self.PENTAGON)
+        p.vertex_set()
+        dd_calls.clear()
+        for q in (dilate(p, Fraction(3, 2)),
+                  p.affine_unimodular_image(((1, 1), (0, 1)), (1, Fraction(1, 2)))):
+            assert q.is_bounded() and not q.is_empty()
+            assert len(q.vertex_set()) == 5
+        assert dd_calls == []
+
+    def test_simplex_search_makes_two_calls(self, dd_calls):
+        # one for the polytope's description and one for the dual rays
+        gromov.best_simplex_lb(HPolytope.from_inequalities(2, self.PENTAGON), 2)
+        assert dd_calls == [3, 5]
+
+    def test_unbounded_and_empty_are_described_once(self, dd_calls):
+        strip = HPolytope.from_inequalities(2, [[1, 0, 1], [-1, 0, 0]])
+        empty_strip = HPolytope.from_inequalities(2, [[1, 0, 0], [-1, 0, -1]])
+        for p, error in ((strip, UnboundedError), (empty_strip, EmptyPolytopeError)):
+            assert not p.is_bounded()
+            assert p.is_empty() == (error is EmptyPolytopeError)
+            with pytest.raises(error):
+                p.vertex_set()
+        assert len(dd_calls) == 2
 
 
 class TestNormality:

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from toricdeg import gromov, hull
-from toricdeg.errors import LowerDimensionalError, ZeroOrbitError
+from toricdeg.errors import LowerDimensionalError, WorkLimitError, ZeroOrbitError
 from toricdeg.geometry import HPolytope
 from toricdeg.gromov import (
     RootSystemSpec,
@@ -414,7 +414,7 @@ class TestSearchCap:
     @pytest.mark.parametrize("n, bound", [(2, 22), (3, 3)])
     def test_refused_before_enumeration(self, no_enumeration, n, bound):
         # C(45^2, 2) = 2049300 and C(343, 3) = 6666891 column sets
-        with pytest.raises(ValueError, match="candidate space too large"):
+        with pytest.raises(WorkLimitError, match="candidate space too large"):
             best_simplex_lb(unit_box([1] * n), bound)
 
     @pytest.mark.parametrize("n, bound", [(2, 21), (3, 2)])

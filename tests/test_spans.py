@@ -4,6 +4,7 @@ traced benchmark run; `uninstall()` must put every original back, and the
 counters must count the calls the library really makes."""
 
 import importlib
+import json
 import sys
 from itertools import combinations, product
 from pathlib import Path
@@ -76,3 +77,28 @@ def test_simplex_search_counters_see_every_determinant(monkeypatch, tmp_path, ca
     metrics = tracer.metrics()
     assert metrics["gromov.matrices_scanned"] == len(pairs) == 36
     assert metrics["gromov.unimodular"] == unimodular > 0
+
+
+def test_vertex_counters_read_the_vertex_cache(monkeypatch, tmp_path, capsys):
+    # The vertex_set counters count only calls that fill the polytope's
+    # vertex cache, which the tracer reads as `_vertices is None`; a renamed
+    # cache must fail here.  Six rows (one redundant) and five vertices.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    sys.modules.pop("spans", None)
+    spans = importlib.import_module("spans")
+    rows = [[-1, 0, 0], [0, -1, 0], [1, 0, 3], [0, 1, 3], [1, 1, 5], [1, 1, 7]]
+    polygon = tmp_path / "pentagon.json"
+    polygon.write_text(json.dumps({"dim": 2, "inequalities": rows}))
+    tracer = spans.Tracer(toricdeg)
+    try:
+        tracer.install()
+        code = toricdeg.cli.main(["vertices", "--polytope", str(polygon)])
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("spans", None)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["geometry.vertex_set.calls"] == 1
+    assert metrics["geometry.vertex_set.facets_in"] == len(rows)
+    assert metrics["geometry.vertex_set.vertices_out"] == len(report["vertices"]) == 5
