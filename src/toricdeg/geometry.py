@@ -8,8 +8,11 @@ Both representation conversions (vertex enumeration H->V and convex hull
 V->H) and Delzant smoothness (edges as the extreme rays of each vertex's
 tangent cone) run on one integer double-description kernel, `_extreme_rays`;
 an H-polytope reads boundedness, emptiness and its vertices from one cached
-run on its homogenized cone.  Lattice point enumeration scans the bounding
-box by slabs; it is a documented desk-scale choice (dimension <= 8).
+run on its homogenized cone.  Lattice points are enumerated by fibres of
+the last coordinate: each point of the bounding box of the other
+coordinates cuts it to one integer interval, and a level m scales the box
+and the right hand sides instead of building m*P.  The prefix scan is a
+documented desk-scale choice (dimension <= 8).
 """
 
 from __future__ import annotations
@@ -272,6 +275,18 @@ class HPolytope:
         return img
 
 
+def integer_image(p: HPolytope, point_map, normal_map) -> HPolytope:
+    """Image of a bounded P under an integer unimodular map g, given as g on
+    points and as its inverse transpose on normals, which keeps them
+    primitive and the right hand sides fixed.  The vertices carry over, so
+    the image needs no double description of its own."""
+    verts = p.vertex_set()
+    img = HPolytope(p.dim, [HalfSpace(normal_map(h.normal), h.rhs) for h in p.halfspaces])
+    img._bounded = True
+    img._vertices = tuple(sorted(map(point_map, verts)))
+    return img
+
+
 def dilate(p: HPolytope, m) -> HPolytope:
     """Scale by a positive rational m: right hand sides and vertices scale by m."""
     m = Fraction(m)
@@ -327,16 +342,18 @@ def hull(points, dim=None) -> HPolytope:
     return HPolytope(dim, half)
 
 
-def lattice_points(p: HPolytope) -> LatticePointSet:
-    """All integer vectors satisfying every inequality, in lex order.  For
-    each point of the bounding box of the first dim - 1 coordinates, the
-    rows <a, x> <= floor(b) cut the last coordinate to an integer interval."""
+def lattice_fibres(p: HPolytope, m=1):
+    """The lattice points of m*P by last-coordinate fibres, for a positive
+    integer m: one (prefix, a, b) per point prefix of the bounding box of
+    the first dim - 1 coordinates whose fibre {x : prefix + (x,) in m*P} is
+    the nonempty integer interval [a, b], in lex order of prefix.  The box
+    and the rows <a, x> <= floor(m b) scale with m, so no level builds its
+    dilate."""
     verts = p.vertex_set()          # raises on unbounded or empty input
     n = p.dim - 1
-    lo = [ceil(min(v[i] for v in verts)) for i in range(p.dim)]
-    hi = [floor(max(v[i] for v in verts)) for i in range(p.dim)]
-    rows = [(h.normal[:n], h.normal[n], floor(h.rhs)) for h in p.halfspaces]
-    pts = []
+    lo = [ceil(m * min(col)) for col in zip(*verts)]
+    hi = [floor(m * max(col)) for col in zip(*verts)]
+    rows = [(h.normal[:n], h.normal[n], floor(m * h.rhs)) for h in p.halfspaces]
     for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
         a, b = lo[n], hi[n]
         for normal, c, rhs in rows:
@@ -350,8 +367,14 @@ def lattice_points(p: HPolytope) -> LatticePointSet:
             if a > b:
                 break
         else:
-            pts += [prefix + (x,) for x in range(a, b + 1)]
-    return LatticePointSet(p.dim, tuple(pts))
+            yield prefix, a, b
+
+
+def lattice_points(p: HPolytope) -> LatticePointSet:
+    """All integer vectors satisfying every inequality, in lex order: the
+    fibres of `lattice_fibres` expanded point by point."""
+    return LatticePointSet(p.dim, tuple(prefix + (x,) for prefix, a, b in lattice_fibres(p)
+                                        for x in range(a, b + 1)))
 
 
 def is_normal(p: HPolytope, max_degree: int):

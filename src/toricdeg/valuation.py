@@ -53,6 +53,27 @@ class SlideDirection:
         v[self.l - 1] = self.c
         return tuple(v)
 
+    def to_line(self, x):
+        """Line coordinates of x: x without x_k, with x_l replaced by
+        c*x_k + x_l, then x_k.  A line of this direction keeps the first
+        dim - 1 of them (its key) and runs along the last."""
+        z = list(x)
+        z[self.l - 1] += self.c * x[self.k - 1]
+        del z[self.k - 1]
+        return tuple(z) + (x[self.k - 1],)
+
+    def from_line(self, key, t):
+        """The point with line coordinates key + (t,)."""
+        x = list(key)
+        x.insert(self.k - 1, t)
+        x[self.l - 1] -= self.c * t
+        return tuple(x)
+
+    def line_normal(self, a):
+        """The normal of <a, x> <= b in line coordinates: a without a_k,
+        then a_k - c*a_l."""
+        return a[:self.k - 1] + a[self.k:] + (a[self.k - 1] - self.c * a[self.l - 1],)
+
 
 class UPolynomial:
     """Polynomial in the local coordinates, exponents in (Z>=0)^n."""
@@ -169,28 +190,23 @@ def valuation_image(basis) -> LatticePointSet:
 def slide(s: LatticePointSet, d: SlideDirection) -> LatticePointSet:
     """Per-line maximal translation of lattice points along -e_k + c*e_l.
 
-    Points are grouped by the affine line containing them; each group moves
-    rigidly by the largest nonnegative multiple of the direction that keeps
-    it inside the nonnegative orthant.  Cardinality is preserved.
+    Points are grouped by the affine line containing them (the key of their
+    line coordinates); each group moves rigidly by the largest nonnegative
+    multiple of the direction that keeps it inside the nonnegative orthant.
+    Cardinality is preserved.
     """
     if any(x < 0 for p in s for x in p):
         raise ValueError("slide requires points in the nonnegative orthant")
     if d.l > s.dim:
         raise ValueError("direction indices exceed dimension")
-    k = d.k - 1
-    l = d.l - 1
     lines = {}
     for p in s:
-        key = tuple(x for i, x in enumerate(p) if i not in (k, l)) + (d.c * p[k] + p[l],)
-        lines.setdefault(key, []).append(p)
+        z = d.to_line(p)
+        lines.setdefault(z[:-1], []).append(z[-1])
     out = []
-    for group in lines.values():
-        a = min(p[k] for p in group)
-        for p in group:
-            q = list(p)
-            q[k] -= a
-            q[l] += d.c * a
-            out.append(tuple(q))
+    for key, ts in lines.items():
+        a = min(ts)
+        out += [d.from_line(key, t - a) for t in ts]
     return LatticePointSet(s.dim, tuple(sorted(out)))
 
 
@@ -212,24 +228,48 @@ def _check_normalized_at_origin(p: HPolytope):
         raise ValueError("polytope must lie in the nonnegative orthant")
 
 
-def slide_levels(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSemigroup:
-    """Level m is the slide of the lattice points of m*P; no preconditions."""
-    levels = {0: LatticePointSet(p.dim, ((0,) * p.dim,))}
-    for m in range(1, max_level + 1):
-        levels[m] = slide(lattice_points(dilate(p, m)), d)
-    return GradedSemigroup(p.dim, levels, max_level)
+def line_coordinates(p: HPolytope, d: SlideDirection) -> HPolytope:
+    """P in the line coordinates of d (`SlideDirection.to_line`), an integer
+    unimodular shear.  The lattice points of P on one slide line form one
+    fibre of the last coordinate, an integer interval because P is convex
+    and the direction is primitive."""
+    if d.l > p.dim:
+        raise ValueError("direction indices exceed dimension")
+    return geometry.integer_image(p, d.to_line, d.line_normal)
+
+
+def slide_fibres(lines: HPolytope, d: SlideDirection, m: int):
+    """The slide of the lattice points of m*P line by line, for P given in
+    line coordinates: (key, b - a) per nonempty line, whose fibre [a, b]
+    slides to [0, b - a].  Raises the ValueError of `slide` when a point
+    lies outside the nonnegative orthant."""
+    l, c = d.l - 2, d.c
+    for key, a, b in geometry.lattice_fibres(lines, m):
+        if a < 0 or key[l] < c * b or any(x < 0 for x in key):
+            raise ValueError("slide requires points in the nonnegative orthant")
+        yield key, b - a
+
+
+def slide_level(lines: HPolytope, d: SlideDirection, m: int) -> LatticePointSet:
+    """`slide` of the lattice points of m*P, emitted from the line fibres of
+    P in line coordinates without building either point set."""
+    pts = [d.from_line(key, t) for key, length in slide_fibres(lines, d, m)
+           for t in range(length + 1)]
+    return LatticePointSet(lines.dim, tuple(sorted(pts)))
 
 
 def build_semigroup(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSemigroup:
     """Slide every dilate of an integral smooth polytope at the origin corner.
 
-    Level m is the slide of the lattice points of m*P.  Requires the
-    decomposition property up to max_level, which by the degree-(n-1)
-    theorem of Bruns, Gubeladze and Trung is checked in degrees 2..n-1 only
-    (see `geometry.is_normal`); without it the slide levels can fail
-    additivity, and the caller should dilate by (n-1) first.  Levels are
-    mutually independent, so callers may compute them in parallel and merge
-    by degree; this implementation stays sequential.
+    Level m is the slide of the lattice points of m*P.  P is taken to the
+    line coordinates of d once; each level then reads its slide off the
+    fibres of m*P (`slide_level`), one integer interval per slide line.
+    Requires the decomposition property up to max_level, which by the
+    degree-(n-1) theorem of Bruns, Gubeladze and Trung is checked in
+    degrees 2..n-1 only (see `geometry.is_normal`); without it the slide
+    levels can fail additivity, and the caller should dilate by (n-1)
+    first.  Levels are mutually independent, so callers may compute them in
+    parallel and merge by degree; this implementation stays sequential.
     """
     if d.c == 0:
         raise ValueError("c = 0 is not a coordinate change; use c >= 1 or the "
@@ -247,7 +287,11 @@ def build_semigroup(p: HPolytope, d: SlideDirection, max_level: int) -> GradedSe
     smooth, offender = geometry.is_delzant_smooth(p)
     if not smooth:
         raise NotSmoothError(f"polytope is not smooth at vertex {offender}")
-    return slide_levels(p, d, max_level)
+    lines = line_coordinates(p, d)
+    levels = {0: LatticePointSet(p.dim, ((0,) * p.dim,))}
+    for m in range(1, max_level + 1):
+        levels[m] = slide_level(lines, d, m)
+    return GradedSemigroup(p.dim, levels, max_level)
 
 
 def okounkov_approx(sg: GradedSemigroup, m: int) -> HPolytope:

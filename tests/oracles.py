@@ -9,7 +9,10 @@ normals.  Lattice points come from a scan of the whole bounding box with an
 exact membership test per point, normality from Minkowski sums at every
 degree up to the bound, Delzant smoothness from edges found by a scan of
 every vertex pair, the additivity of semigroup levels from every point
-pair, and the slide from a rebuilt, re-counted point set.  The Bott
+pair, and the slide from a rebuilt, re-counted point set.  Move
+verification compares each level as two point sets, the slid lattice
+points of the source and those of the target, where the library compares
+one fibre per slide line.  The Bott
 cube oracle is the generic geometric test that preceded the fibration
 criterion.  The q-triviality, exceptional-type, composition and ring-map
 oracles multiply ring classes through the general normal form, where the
@@ -35,7 +38,16 @@ from math import ceil, floor, gcd
 from unittest import mock
 
 from toricdeg import linalg
-from toricdeg.bott import BottData, CohRing, ExceptionalType, RingMap, bott_polytope
+from toricdeg.bott import (
+    BottData,
+    CohRing,
+    ExceptionalType,
+    MoveVerification,
+    RingMap,
+    bott_polytope,
+    elementary_move,
+    parametrized_move,
+)
 from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, UnboundedError
 from toricdeg.geometry import (
     HalfSpace,
@@ -44,6 +56,7 @@ from toricdeg.geometry import (
     dilate,
     frac_vec,
     hull,
+    is_normal,
     minkowski_sum,
 )
 from toricdeg.gromov import SimplexFit
@@ -269,6 +282,48 @@ def slide_oracle(s: LatticePointSet, d: SlideDirection) -> LatticePointSet:
     if len(result) != len(s):
         raise AssertionError("slide must preserve cardinality")
     return result
+
+
+def level_verdicts_oracle(small: HPolytope, big: HPolytope, d: SlideDirection,
+                          max_level: int):
+    """`bott._level_verdicts` by point sets: level m slides the box-scanned
+    lattice points of m*small and compares them with those of m*big."""
+    levels = []
+    for m in range(1, max_level + 1):
+        have = slide_oracle(lattice_points_oracle(dilate(small, m)), d).as_set()
+        want = lattice_points_oracle(dilate(big, m)).as_set()
+        detail = None
+        if have != want:
+            detail = {"missing": sorted(want - have)[:5],
+                      "extra": sorted(have - want)[:5]}
+        levels.append((m, have == want, detail))
+    return tuple(levels)
+
+
+def verify_degeneration_move_oracle(b: BottData, k: int, l: int, c=None,
+                                    max_level: int = 4) -> MoveVerification:
+    """`bott.verify_degeneration_move` with its levels compared as point sets
+    (`level_verdicts_oracle`) instead of line fibres; valid (k, l) only.
+    The normality test that picks the dilation is the library's, which
+    `is_normal_oracle` checks elsewhere: uncapped, it would dominate."""
+    entry = b.a[k - 1][l - 1]
+    if c is None:
+        move = elementary_move(b, k, l)
+        c = (entry + move.result.a[k - 1][l - 1]) // 2
+    else:
+        move = parametrized_move(b, k, l, 2 * c - entry)
+    small, big = ((b, move.result) if move.result.a[k - 1][l - 1] >= entry
+                  else (move.result, b))
+    dilated_by = 1
+    poly_small = bott_polytope(small)
+    if not is_normal(poly_small, max_level)[0]:
+        dilated_by = b.n - 1
+        big = big.scaled(dilated_by)
+        poly_small = dilate(poly_small, dilated_by)
+    d = SlideDirection(k, l, c)
+    levels = level_verdicts_oracle(poly_small, bott_polytope(big), d, max_level)
+    return MoveVerification(b, move.result, d, levels, all(ok for _, ok, _ in levels),
+                            dilated_by)
 
 
 def sign_choice_vertices(b: BottData):

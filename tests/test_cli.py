@@ -201,6 +201,20 @@ class TestExitCodes:
         assert err["error"] == "WorkLimitError"
         assert "candidate space too large" in err["message"]
 
+    @pytest.mark.parametrize("c", [None, 1])
+    @pytest.mark.parametrize("k, l", [(0, 2), (1, 3), (2, 2), (2, 1)])
+    def test_verify_move_bad_indices(self, tmp_path, capsys, k, l, c):
+        # k = 0, l > n and k >= l on an n = 2 tower: a domain error, not an
+        # IndexError traceback
+        f = write(tmp_path, "b.json", BOTT4)
+        argv = ["bott-verify-move", "--bott", f, "--k", str(k), "--l", str(l)]
+        code = main(argv + ([] if c is None else ["--c", str(c)]))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "MoveError",
+                                            "message": "need 1 <= k < l <= n"}
+
     def test_float_rejected(self, tmp_path, capsys):
         bad = write(tmp_path, "f.json",
                     {"dim": 2, "vertices": [[0.5, 0], [1, 0], [0, 1]]})

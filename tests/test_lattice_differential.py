@@ -1,5 +1,6 @@
-"""Differential tests: slab lattice point enumeration and the degree-capped
-normality check against the box-scan and uncapped oracles in oracles.py.
+"""Differential tests: fibre-scan lattice point enumeration and the
+degree-capped normality check against the box-scan and uncapped oracles in
+oracles.py.
 
 Lattice points must agree on the exact point tuple, order included;
 normality on the exact (ok, witness) pair.
