@@ -567,18 +567,19 @@ def _level_verdicts(small: HPolytope, big: HPolytope, d: SlideDirection,
     Both sides go to the line coordinates of d once.  Level m passes iff
     both have the same nonempty lines and the fibre of m*big on each is
     [0, b - a] for the fibre [a, b] of m*small, which costs one scan of
-    the lines and not of the points.  Only a failing level expands its
+    the lines and not of the points.  Both fibre lists come in lex order of
+    key, so they are compared as lists.  Only a failing level expands its
     fibres into points, for the detail: the first five missing and extra.
     """
     src = line_coordinates(small, d)
     tgt = line_coordinates(big, d)
     levels = []
     for m in range(1, max_level + 1):
-        have = {key: (0, length) for key, length in slide_fibres(src, d, m)}
-        want = {key: (a, b) for key, a, b in lattice_fibres(tgt, m)}
+        have = [(key, 0, length) for key, length in slide_fibres(src, d, m)]
+        want = list(lattice_fibres(tgt, m))
         detail = None
         if have != want:
-            have, want = ({d.from_line(key, t) for key, (a, b) in side.items()
+            have, want = ({d.from_line(key, t) for key, a, b in side
                            for t in range(a, b + 1)} for side in (have, want))
             detail = {"missing": sorted(want - have)[:5],
                       "extra": sorted(have - want)[:5]}
@@ -606,6 +607,11 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
     and in the orthant with the origin vertex, and its dilate by n - 1 is
     normal (Bruns, Gubeladze and Trung 1997), so the slide levels need no
     re-validation by `build_semigroup`.
+
+    A zero-shift move (c = entry, so the target entry is the entry) is slid
+    with c = entry as well.  On a 3-d tower whose row k has another nonzero
+    entry that slide is not the identity, so the report can show failing
+    levels for data the move leaves unchanged.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")

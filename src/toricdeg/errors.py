@@ -2,7 +2,8 @@
 
 Precondition failures and requests past a documented work limit raise
 subclasses of ToricDegError so the CLI maps them to a dedicated exit code;
-malformed input is SchemaError.
+malformed input is SchemaError.  A broken library invariant raises
+InternalError, an AssertionError, which the CLI reports as internal.
 """
 
 
@@ -60,3 +61,7 @@ class MoveError(ToricDegError):
 
 class WorkLimitError(ToricDegError):
     """Well-formed request exceeds a documented work limit."""
+
+
+class InternalError(AssertionError):
+    """A library invariant that a caller must keep was broken."""

@@ -9,10 +9,12 @@ V->H) and Delzant smoothness (edges as the extreme rays of each vertex's
 tangent cone) run on one integer double-description kernel, `_extreme_rays`;
 an H-polytope reads boundedness, emptiness and its vertices from one cached
 run on its homogenized cone.  Lattice points are enumerated by fibres of
-the last coordinate: each point of the bounding box of the other
-coordinates cuts it to one integer interval, and a level m scales the box
-and the right hand sides instead of building m*P.  The prefix scan is a
-documented desk-scale choice (dimension <= 8).
+the last coordinate on ints alone: for each point of the bounding box of
+the first dim - 2 coordinates, the rows cut the next coordinate to one run
+and bound the last coordinate along the whole run, one pass per row, so
+every prefix gets one integer interval.  A level m scales the box and the
+right hand sides instead of building m*P.  The prefix scan is a documented
+desk-scale choice (dimension <= 8).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import linalg
@@ -342,39 +344,83 @@ def hull(points, dim=None) -> HPolytope:
     return HPolytope(dim, half)
 
 
+def _run(t, aj, k, u, v):
+    """floor((t - aj*x) / k) for x = u..v and k > 0, as one sequence."""
+    if not aj:
+        return [t // k] * (v - u + 1)
+    vals = range(t - aj * u, t - aj * (v + 1), -aj)
+    return vals if k == 1 else [s // k for s in vals]
+
+
 def lattice_fibres(p: HPolytope, m=1):
     """The lattice points of m*P by last-coordinate fibres, for a positive
     integer m: one (prefix, a, b) per point prefix of the bounding box of
     the first dim - 1 coordinates whose fibre {x : prefix + (x,) in m*P} is
-    the nonempty integer interval [a, b], in lex order of prefix.  The box
-    and the rows <a, x> <= floor(m b) scale with m, so no level builds its
-    dilate."""
+    the nonempty integer interval [a, b], in lex order of prefix.
+
+    The scan runs on ints alone.  The vertex box is taken over one common
+    denominator and each row <a, x> <= b becomes <a, x> <= floor(m b), so
+    no level builds its dilate.  For each outer prefix (the first dim - 2
+    coordinates) the rows whose last entry is 0 cut the innermost prefix
+    coordinate to one run [u, v]; every other row then bounds the fibres of
+    the whole run in one pass, and the bounds meet by `min` (last entry
+    > 0) and `max` (< 0) across rows.  A nonempty fibre of a bounded P has
+    rows of both signs, so the box of the last coordinate adds nothing.
+    """
     verts = p.vertex_set()          # raises on unbounded or empty input
     n = p.dim - 1
-    lo = [ceil(m * min(col)) for col in zip(*verts)]
-    hi = [floor(m * max(col)) for col in zip(*verts)]
-    rows = [(h.normal[:n], h.normal[n], floor(m * h.rhs)) for h in p.halfspaces]
-    for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
-        a, b = lo[n], hi[n]
-        for normal, c, rhs in rows:
-            s = rhs - sum(map(mul, normal, prefix))
-            if c > 0:
-                b = min(b, s // c)
-            elif c < 0:
-                a = max(a, -(s // -c))
-            elif s < 0:
-                break
-            if a > b:
+    box = list(zip(*verts))[:n]
+    den = lcm(*(x.denominator for col in box for x in col))
+    cols = [[x.numerator * (den // x.denominator) for x in col] for col in box]
+    lo = [-(-m * min(col) // den) for col in cols]
+    hi = [m * max(col) // den for col in cols]
+    flat, up, down = [], [], []
+    for h in p.halfspaces:
+        c = h.normal[n]
+        row = (h.normal[:n], m * h.rhs.numerator // h.rhs.denominator, c)
+        (up if c > 0 else down if c < 0 else flat).append(row)
+    if n == 0:
+        a = max(-(r // -c) for _, r, c in down)
+        b = min(r // c for _, r, c in up)
+        if a <= b:
+            yield (), a, b
+        return
+    j = n - 1                       # the innermost prefix coordinate
+    for outer in product(*(range(lo[i], hi[i] + 1) for i in range(j))):
+        u, v = lo[j], hi[j]
+        for normal, r, _ in flat:
+            t, aj = r - sum(map(mul, normal, outer)), normal[j]
+            if aj > 0:
+                v = min(v, t // aj)
+            elif aj < 0:
+                u = max(u, -(t // -aj))
+            elif t < 0:
+                v = u - 1
+            if u > v:
                 break
         else:
-            yield prefix, a, b
+            # a row with last entry -k > 0 bounds x from below by
+            # ceil((aj*x - t) / k) = floor((k - 1 - t + aj*x) / k)
+            tops = [_run(r - sum(map(mul, normal, outer)), normal[j], c, u, v)
+                    for normal, r, c in up]
+            bottoms = [_run(sum(map(mul, normal, outer)) - r - c - 1, -normal[j], -c, u, v)
+                       for normal, r, c in down]
+            b = tops[0] if len(tops) == 1 else map(min, *tops)
+            a = bottoms[0] if len(bottoms) == 1 else map(max, *bottoms)
+            for x, ax, bx in zip(range(u, v + 1), a, b):
+                if ax <= bx:
+                    yield outer + (x,), ax, bx
+
+
+def fibre_points(p: HPolytope, m=1):
+    """The lattice points of m*P in lex order, from `lattice_fibres`."""
+    return (prefix + (x,) for prefix, a, b in lattice_fibres(p, m) for x in range(a, b + 1))
 
 
 def lattice_points(p: HPolytope) -> LatticePointSet:
     """All integer vectors satisfying every inequality, in lex order: the
     fibres of `lattice_fibres` expanded point by point."""
-    return LatticePointSet(p.dim, tuple(prefix + (x,) for prefix, a, b in lattice_fibres(p)
-                                        for x in range(a, b + 1)))
+    return LatticePointSet(p.dim, tuple(fibre_points(p)))
 
 
 def is_normal(p: HPolytope, max_degree: int):
@@ -384,7 +430,8 @@ def is_normal(p: HPolytope, max_degree: int):
     point of m*P is a sum of m lattice points of P, else (False, (m, point))
     for the first failure in (degree, lex) order.  Only degrees 2..dim-1 are
     checked: past them every lattice point of (c+1)P is one of cP plus one of
-    P (Bruns, Gubeladze and Trung, J. reine angew. Math. 485, 1997).
+    P (Bruns, Gubeladze and Trung, J. reine angew. Math. 485, 1997).  Level
+    m is read in lex order off `lattice_fibres(p, m)`, without a dilate.
     """
     if not p.is_integral():
         raise NotIntegralError("normality check requires an integral polytope")
@@ -394,9 +441,10 @@ def is_normal(p: HPolytope, max_degree: int):
     base = sums = lattice_points(p)
     for m in range(2, top + 1):
         sums = minkowski_sum(sums, base)
-        missing = lattice_points(dilate(p, m)).as_set() - sums.as_set()
-        if missing:
-            return (False, (m, min(missing)))
+        reachable = sums.as_set()
+        missing = next((x for x in fibre_points(p, m) if x not in reachable), None)
+        if missing is not None:
+            return (False, (m, missing))
     return (True, None)
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalError
+
 
 def mat_vec(m, v):
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
@@ -219,8 +221,8 @@ def fm_maximize(ineqs, nvars, objective_index=0):
 
     Returns (value, witness) where witness is the lexicographically smallest
     optimal point (coordinates resolved in index order), or (None, None) when
-    the system is infeasible.  Raises ValueError when the objective is
-    unbounded above; callers here only optimise over bounded regions.
+    the system is infeasible.  Raises InternalError when the objective is
+    unbounded above: callers here only optimise over bounded regions.
     """
     order = [j for j in range(nvars) if j != objective_index]
     stages = []
@@ -244,7 +246,7 @@ def fm_maximize(ineqs, nvars, objective_index=0):
     if lower is not None and upper is not None and lower > upper:
         return (None, None)
     if upper is None:
-        raise ValueError("objective unbounded above")
+        raise InternalError("objective unbounded above")
     point = {objective_index: upper}
     for j, stage in reversed(stages):
         lo, hi = None, None

@@ -23,7 +23,7 @@ from .errors import (
     NotSmoothError,
     ZeroPolynomialError,
 )
-from .geometry import HPolytope, LatticePointSet, dilate, hull, lattice_points
+from .geometry import HPolytope, LatticePointSet, dilate, hull
 
 
 @dataclass(frozen=True)
@@ -242,10 +242,17 @@ def slide_fibres(lines: HPolytope, d: SlideDirection, m: int):
     """The slide of the lattice points of m*P line by line, for P given in
     line coordinates: (key, b - a) per nonempty line, whose fibre [a, b]
     slides to [0, b - a].  Raises the ValueError of `slide` when a point
-    lies outside the nonnegative orthant."""
+    lies outside the nonnegative orthant.
+
+    A point's x_l is key[l] - c*x_k, least at x_k = b, so every fibre is
+    tested for key[l] >= c*b.  The other coordinates of a point are line
+    coordinates, all nonnegative on m*P when no vertex of P in line
+    coordinates has a negative one; only otherwise are `a` and the key
+    tested as well."""
     l, c = d.l - 2, d.c
+    orthant = all(x >= 0 for v in lines.vertex_set() for x in v)
     for key, a, b in geometry.lattice_fibres(lines, m):
-        if a < 0 or key[l] < c * b or any(x < 0 for x in key):
+        if key[l] < c * b or not orthant and (a < 0 or any(x < 0 for x in key)):
             raise ValueError("slide requires points in the nonnegative orthant")
         yield key, b - a
 
@@ -316,7 +323,7 @@ def check_cone_condition(sg: GradedSemigroup, delta: HPolytope):
         raise NotIntegralError("cone condition requires an integral polytope")
     for m in range(1, sg.max_level + 1):
         have = sg.levels[m].as_set()
-        want = lattice_points(dilate(delta, m)).as_set()
+        want = set(geometry.fibre_points(delta, m))
         mismatches = [(pt, "missing") for pt in want - have]
         mismatches += [(pt, "extra") for pt in have - want]
         if mismatches:

@@ -7,9 +7,11 @@ double-description kernel: facets from every dim-subset of points, vertices
 from every n-subset of facets, and boundedness from every (n-1)-subset of
 normals.  Lattice points come from a scan of the whole bounding box with an
 exact membership test per point, normality from Minkowski sums at every
-degree up to the bound, Delzant smoothness from edges found by a scan of
-every vertex pair, the additivity of semigroup levels from every point
-pair, and the slide from a rebuilt, re-counted point set.  Move
+degree up to the bound, the fibres of the last coordinate from a scan of
+every prefix of the box that meets every row in turn, Delzant smoothness
+from edges found by a scan of every vertex pair, the additivity of
+semigroup levels from every point pair, and the slide from a rebuilt,
+re-counted point set.  Move
 verification compares each level as two point sets, the slid lattice
 points of the source and those of the target, where the library compares
 one fibre per slide line.  The Bott
@@ -194,6 +196,31 @@ def lattice_points_oracle(p: HPolytope) -> LatticePointSet:
     pts = [cand for cand in product(*(range(lo[i], hi[i] + 1) for i in range(p.dim)))
            if p.contains(cand)]
     return LatticePointSet(p.dim, tuple(sorted(pts)))
+
+
+def lattice_fibres_oracle(p: HPolytope, m=1):
+    """`geometry.lattice_fibres` as a scan of every prefix: each point of
+    the bounding box of the first dim - 1 coordinates of m*P meets every
+    row in turn, with the box and floor(m*rhs) taken from Fractions."""
+    verts = p.vertex_set()
+    n = p.dim - 1
+    lo = [ceil(m * min(col)) for col in zip(*verts)]
+    hi = [floor(m * max(col)) for col in zip(*verts)]
+    rows = [(h.normal[:n], h.normal[n], floor(m * h.rhs)) for h in p.halfspaces]
+    for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(n))):
+        a, b = lo[n], hi[n]
+        for normal, c, rhs in rows:
+            s = rhs - sum(x * y for x, y in zip(normal, prefix))
+            if c > 0:
+                b = min(b, s // c)
+            elif c < 0:
+                a = max(a, -(s // -c))
+            elif s < 0:
+                break
+            if a > b:
+                break
+        else:
+            yield prefix, a, b
 
 
 def is_normal_oracle(p: HPolytope, max_degree: int):

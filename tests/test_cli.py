@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricdeg import bott, cli
+from toricdeg import bott, cli, linalg
 from toricdeg.cli import main
 
 RECT = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 3], [0, 3]]}
@@ -241,6 +241,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "internal", "message": "standardization did not terminate"}
+
+    def test_unbounded_lp_is_internal(self, tmp_path, capsys, monkeypatch):
+        # the simplex search only maximizes over bounded regions; an
+        # unbounded objective is a broken invariant, not malformed input
+        maximize = linalg.fm_maximize
+
+        def without_rows(rows, nvars, objective_index=0):
+            return maximize([], nvars, objective_index)
+
+        monkeypatch.setattr(linalg, "fm_maximize", without_rows)
+        p = write(tmp_path, "p.json", SQUARE2)
+        code = main(["gw-simplex", "--polytope", p, "--bound", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "internal", "message": "objective unbounded above"}
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", RECT)

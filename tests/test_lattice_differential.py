@@ -1,19 +1,23 @@
 """Differential tests: fibre-scan lattice point enumeration and the
 degree-capped normality check against the box-scan and uncapped oracles in
-oracles.py.
+oracles.py, and the integer fibre kernel against the per-prefix scan.
 
 Lattice points must agree on the exact point tuple, order included;
-normality on the exact (ok, witness) pair.
+normality on the exact (ok, witness) pair; fibres on the exact
+(prefix, a, b) sequence, every entry an int.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from toricdeg import geometry, hull
-from toricdeg.geometry import HPolytope, is_normal, lattice_points
+from toricdeg.errors import EmptyPolytopeError, UnboundedError
+from toricdeg.geometry import HPolytope, is_normal, lattice_fibres, lattice_points
 
 from conftest import corner_simplex, random_integral_polygon, unit_box
-from oracles import is_normal_oracle, lattice_points_oracle
+from oracles import is_normal_oracle, lattice_fibres_oracle, lattice_points_oracle
 
 
 def rational(rng, lo=-5, hi=5):
@@ -102,6 +106,68 @@ class TestLatticePointsAgainstOracle:
             p = HPolytope.from_inequalities(dim, rows)
             if not p.is_empty():
                 assert_same_points(p)
+
+
+def random_h_polytope(rng, dim, width, flat):
+    """A rational box, often reaching below 0, cut by up to three random
+    rows (last entry 0 for some); with `flat`, also one equality pair
+    through a rational point of the box."""
+    rows, point = [], []
+    for i in range(dim):
+        lo = rational(rng, -3, 1)
+        hi = lo + rational(rng, 0, width)
+        e = [int(j == i) for j in range(dim)]
+        rows += [e + [hi], [-x for x in e] + [-lo]]
+        point.append(lo + (hi - lo) * Fraction(rng.randint(0, 4), 4))
+    for _ in range(rng.randint(0, 3)):
+        normal = [rng.randint(-2, 2) for _ in range(dim)]
+        if dim > 1 and rng.random() < 0.5:
+            normal[-1] = 0
+        if any(normal):
+            rows.append(normal + [sum(a * x for a, x in zip(normal, point))
+                                  + rational(rng, 0, 2)])
+    if flat:
+        normal = [rng.randint(-2, 2) for _ in range(dim)]
+        normal[rng.randrange(dim)] = rng.choice((-1, 1))
+        r = sum(a * x for a, x in zip(normal, point))
+        rows += [normal + [r], [-a for a in normal] + [-r]]
+    return HPolytope.from_inequalities(dim, rows)
+
+
+class TestFibreKernelAgainstOracle:
+    def test_rational_h_polytopes_dims_1_to_5(self):
+        rng = random.Random(6106)
+        seen = dict.fromkeys(("zero last entry", "negative", "fractional", "flat"), 0)
+        for dim, width, cases in ((1, 4, 60), (2, 5, 120), (3, 3, 80), (4, 2, 40),
+                                  (5, 2, 15)):
+            for case in range(cases):
+                flat = dim > 1 and case % 4 == 0
+                p = random_h_polytope(rng, dim, width, flat)
+                if p.is_empty():
+                    continue
+                verts = p.vertex_set()
+                seen["zero last entry"] += any(h.normal[-1] == 0 and sum(map(abs, h.normal)) > 1
+                                               for h in p.halfspaces)
+                seen["negative"] += any(x < 0 for v in verts for x in v)
+                seen["fractional"] += not p.is_integral() and any(
+                    h.rhs.denominator > 1 for h in p.halfspaces)
+                seen["flat"] += not p.is_full_dimensional()
+                for m in (1, 2, 3, 4):
+                    got = list(lattice_fibres(p, m))
+                    assert got == list(lattice_fibres_oracle(p, m)), (p.halfspaces, m)
+                    assert all(type(x) is int for prefix, a, b in got
+                               for x in prefix + (a, b)), got
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("rows, error", [
+        ([[1, 0, 0], [-1, 0, -1], [0, 1, 1], [0, -1, 0]], EmptyPolytopeError),
+        ([[-1, 0, 0], [0, -1, 0], [0, 1, 1]], UnboundedError),
+    ])
+    def test_empty_and_unbounded_raise_alike(self, rows, error):
+        p = HPolytope.from_inequalities(2, rows)
+        for fibres in (lattice_fibres, lattice_fibres_oracle):
+            with pytest.raises(error):
+                list(fibres(p, 2))
 
 
 class TestNormalityAgainstOracle:

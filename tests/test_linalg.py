@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricdeg import linalg
+from toricdeg.errors import InternalError
 from toricdeg.geometry import HalfSpace
 
 from oracles import (
@@ -180,8 +181,11 @@ class TestFourierMotzkin:
         assert linalg.fm_maximize(rows, 1) == (None, None)
 
     def test_maximize_unbounded_raises(self):
-        with pytest.raises(ValueError):
+        # a broken caller invariant, not malformed input
+        with pytest.raises(InternalError, match="objective unbounded above") as info:
             linalg.fm_maximize([((-1, 0), 0)], 2, objective_index=0)
+        assert isinstance(info.value, AssertionError)
+        assert not isinstance(info.value, ValueError)
 
     def test_witness_is_lex_least(self):
         # max a over the square [0,1]^2 with a <= x1 + x2, a <= 2 - x1 - x2:

@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from toricdeg import hull, lattice_points, linalg  # noqa: E402
-from toricdeg.errors import EmptyPolytopeError  # noqa: E402
+from toricdeg.errors import EmptyPolytopeError, InternalError  # noqa: E402
 from toricdeg.geometry import HPolytope  # noqa: E402
 
 from oracles import fm_maximize_oracle  # noqa: E402
@@ -152,8 +152,8 @@ def fm_systems(draw):
 def fm_outcome(solve, rows, nvars, objective):
     try:
         return repr(solve(rows, nvars, objective))
-    except ValueError as exc:
-        return ("ValueError", str(exc))
+    except (ValueError, InternalError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -90,6 +90,33 @@ class TestSlideLevelAgainstOracle:
                         assert slide_level(lines, d, m).points == want.points, (p, d, m)
         assert raised > 50
 
+    @pytest.mark.parametrize("route, vertices, d", [
+        # x_k < 0 only: the fibre starts below 0
+        ("a", [(-1, 1), (0, 1), (-1, 3), (0, 3)], SlideDirection(1, 2, 1)),
+        # another coordinate (x_3, kept in the key) < 0 only
+        ("key", [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (-1, 0)],
+         SlideDirection(1, 2, 1)),
+        # x_l < 0 only, at the top of a fibre; every vertex of P in line
+        # coordinates is nonnegative, so this is the only test that runs
+        ("x_l", [(0, 0), (1, -1), (1, 0), (0, 1)], SlideDirection(1, 2, 1)),
+    ])
+    def test_each_orthant_route_raises_alone(self, route, vertices, d):
+        p = hull(vertices)
+        lines = line_coordinates(p, d)
+        l = d.l - 2
+        for m in (1, 2):
+            fibres = list(lattice_fibres(lines, m))
+            failing = {"a": any(a < 0 for _, a, _ in fibres),
+                       "key": any(x < 0 for key, _, _ in fibres for x in key),
+                       "x_l": any(key[l] < d.c * b for key, _, b in fibres)}
+            assert [r for r, bad in failing.items() if bad] == [route]
+            with pytest.raises(ValueError) as want:
+                slide_oracle(lattice_points_oracle(dilate(p, m)), d)
+            with pytest.raises(ValueError, match=str(want.value)):
+                slide_level(lines, d, m)
+        negative = any(x < 0 for v in lines.vertex_set() for x in v)
+        assert negative == (route != "x_l")
+
     def test_shear_keeps_normals_primitive_and_vertices_exact(self):
         rng = random.Random(6403)
         for _ in range(20):
