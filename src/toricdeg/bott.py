@@ -2,11 +2,13 @@
 
 A pair (A, lam) with A strictly upper triangular over Z and lam positive
 encodes a combinatorial-hypercube polytope with 2n facets and the quotient
-ring Z[x_1..x_n]/(x_i^2 + sum_j A^i_j x_j x_i).  Degeneration moves rewrite
-one column of A while transporting lam and an explicit ring isomorphism;
-composing moves, facet swaps, and block permutations reduces any rationally
-trivial datum to a canonical product of standard blocks, on which
-symplectomorphism is decidable by direct comparison.
+ring Z[x_1..x_n]/(x_i^2 + sum_j A^i_j x_j x_i).  Degeneration moves and
+facet swaps are generator shifts x_k -> x_k + sum_{j>k} v_j x_j, which carry
+(A, lam) to (A + (col_k(A) + 2 e_k) v^T, lam + lam_k v) (`_shift`): a move
+takes v = shift * e_l, a facet swap v = -row_k(A).  Composing moves, facet
+swaps, and block permutations reduces any rationally trivial datum to a
+canonical product of standard blocks, on which symplectomorphism is
+decidable by direct comparison.
 
 The decision path works in degrees <= 2, where x_p^2 = -sum_q A^p_q x_p x_q
 is the whole reduction.  A linear class is its coefficient row (the
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .errors import MoveError, NotQTrivialError
+from .errors import InternalError, MoveError, NotQTrivialError
 from .geometry import HalfSpace, HPolytope, dilate, is_normal, lattice_fibres
 from .valuation import SlideDirection, line_coordinates, slide_fibres
 
@@ -272,23 +274,24 @@ class Move:
     certified: bool
 
 
-def _move_data(b: BottData, k: int, l: int, target_entry: int):
-    ki, li = k - 1, l - 1
-    entry = b.a[ki][li]
-    if (target_entry - entry) % 2:
-        raise MoveError("move displacement must be even (parity gate)")
-    shift = (target_entry - entry) // 2
-    rows = [list(r) for r in b.a]
-    rows[ki][li] = target_entry
-    for i in range(b.n):
-        if i != ki and b.a[i][ki]:
-            rows[i][li] = b.a[i][li] + shift * b.a[i][ki]
-    lam = list(b.lam)
-    lam[li] = b.lam[li] + b.lam[ki] * shift
-    if lam[li] <= 0:
-        raise MoveError("move would force a nonpositive length; data is not a "
+def _shift(b: BottData, k: int, v, noun: str):
+    """The generator shift x_k -> x_k + sum_{j>k} v_j x_j: the target data
+    A' = A + (col_k(A) + 2 e_k) v^T, lam' = lam + lam_k v, and the ring
+    map's matrix I + e_k v^T.  A' stays strictly upper triangular (v is
+    zero up to k, col_k(A) below k), so positivity of lam' is the one check;
+    `noun` names the step in its MoveError."""
+    ki = k - 1
+    col = [row[ki] for row in b.a]
+    col[ki] = 2
+    rows = tuple(tuple(x + c * vj for x, vj in zip(row, v)) if c else row
+                 for row, c in zip(b.a, col))
+    lam = tuple(x + b.lam[ki] * vj if vj else x for x, vj in zip(b.lam, v))
+    if any(x <= 0 for x in lam):
+        raise MoveError(f"{noun} would force a nonpositive length; data is not a "
                         "combinatorial hypercube")
-    return BottData.make(rows, lam), shift
+    m = linalg.identity(b.n)
+    m = m[:ki] + (tuple(x + vj for x, vj in zip(m[ki], v)),) + m[ki + 1:]
+    return BottData(b.n, rows, lam), m
 
 
 def parametrized_move(b: BottData, k: int, l: int, target_entry: int) -> Move:
@@ -304,13 +307,15 @@ def parametrized_move(b: BottData, k: int, l: int, target_entry: int) -> Move:
     """
     if not (1 <= k < l <= b.n):
         raise MoveError("need 1 <= k < l <= n")
-    data, shift = _move_data(b, k, l, target_entry)
+    displacement = target_entry - b.a[k - 1][l - 1]
+    if displacement % 2:
+        raise MoveError("move displacement must be even (parity gate)")
+    shift = displacement // 2
+    data, m = _shift(b, k, [shift * (j == l - 1) for j in range(b.n)], "move")
     if shift != 0 and not is_hypercube(data):
         raise MoveError(
             f"move at (k={k}, l={l}) to entry {target_entry} collapses the "
             "target polytope; data would not define a tower")
-    m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
-    m[k - 1][l - 1] = shift
     f = RingMap(CohRing.of(b), CohRing.of(data), m)
     if not ring_map_check(f, b.lam, data.lam):
         raise MoveError(
@@ -337,25 +342,9 @@ def elementary_move(b: BottData, k: int, l: int) -> Move:
 
 def flip(b: BottData, k: int) -> Move:
     """Swap the two facets of coordinate k (a lattice symmetry, always
-    a symplectomorphism of the underlying toric manifold)."""
-    ki = k - 1
-    rows = [list(r) for r in b.a]
-    lam = list(b.lam)
-    for j in range(ki + 1, b.n):
-        coef = b.a[ki][j]
-        if coef == 0:
-            continue
-        rows[ki][j] = -coef
-        for i in range(ki):
-            rows[i][j] = b.a[i][j] - coef * b.a[i][ki]
-        lam[j] = lam[j] - coef * b.lam[ki]
-        if lam[j] <= 0:
-            raise MoveError("facet swap would force a nonpositive length; data "
-                            "is not a combinatorial hypercube")
-    data = BottData.make(rows, lam)
-    m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
-    for j in range(ki + 1, b.n):
-        m[ki][j] = -b.a[ki][j]
+    a symplectomorphism of the underlying toric manifold): the shift of x_k
+    by minus row k of A, which negates that row."""
+    data, m = _shift(b, k, [-x for x in b.a[k - 1]], "facet swap")
     f = RingMap(CohRing.of(b), CohRing.of(data), m)
     return Move("flip", (k,), data, f, True)
 
@@ -434,8 +423,8 @@ def _standard_form(b: BottData) -> StandardForm:
                 break
             ex = exceptional_type(current, k)
             if ex is None or ex.c == 0:
-                raise AssertionError("nonzero row must stay exceptional during "
-                                     "standardization")
+                raise InternalError("nonzero row must stay exceptional during "
+                                    "standardization")
             target_entry = 0 if ex.kind == "even" else -1
             if current.a[k - 1][ex.l - 1] + target_entry < 0:
                 step = flip(current, k)
@@ -445,7 +434,7 @@ def _standard_form(b: BottData) -> StandardForm:
             composed = composed.compose(step.ring_map)
             current = step.result
         else:
-            raise AssertionError("standardization did not terminate")
+            raise InternalError("standardization did not terminate")
     # Read the block structure: every nonzero row points at its terminal.
     n = b.n
     pointer = {}
@@ -458,7 +447,7 @@ def _standard_form(b: BottData) -> StandardForm:
     for k in range(1, n + 1):
         t = pointer.get(k, k)
         if t in pointer:
-            raise AssertionError("block terminal must have a zero row")
+            raise InternalError("block terminal must have a zero row")
         members.setdefault(t, []).append(k)
     blocks = []
     for t, ks in members.items():
@@ -516,7 +505,7 @@ def decide_symplectomorphic(b1: BottData, b2: BottData) -> Decision:
                         standard=(s1, s2))
     f = s1.ring_map.compose(s2.ring_map.inverse())
     if not ring_map_check(f, b1.lam, b2.lam):
-        raise AssertionError("composed certificate failed verification")
+        raise InternalError("composed certificate failed verification")
     n = b1.n
     return Decision(True, "standard forms agree", ring_map=f,
                     lam_matrix=linalg.identity(n), sigma=tuple(range(1, n + 1)),
@@ -608,10 +597,8 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
     normal (Bruns, Gubeladze and Trung 1997), so the slide levels need no
     re-validation by `build_semigroup`.
 
-    A zero-shift move (c = entry, so the target entry is the entry) is slid
-    with c = entry as well.  On a 3-d tower whose row k has another nonzero
-    entry that slide is not the identity, so the report can show failing
-    levels for data the move leaves unchanged.
+    A zero-shift move (c = entry, so the target entry is the entry) is the
+    identity on the data and the ring: every level passes without a slide.
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
@@ -644,6 +631,9 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
         big = big.scaled(dilated_by)
         poly_small = dilate(poly_small, dilated_by)
     direction = SlideDirection(k, l, c)
-    levels = _level_verdicts(poly_small, bott_polytope(big), direction, max_level)
+    if target_entry == entry:
+        levels = tuple((m, True, None) for m in range(1, max_level + 1))
+    else:
+        levels = _level_verdicts(poly_small, bott_polytope(big), direction, max_level)
     return MoveVerification(b, move.result, direction, levels,
                             all(ok for _, ok, _ in levels), dilated_by)

@@ -196,6 +196,8 @@ def fits(delta: HPolytope, fit: SimplexFit) -> bool:
 # Exhaustive search cap: the number of column sets C((2b+1)^n, n), each
 # one determinant.
 MAX_COLUMN_SETS = 2_000_000
+# Heuristic search length: random row operations tried per walk.
+HEURISTIC_STEPS = 400
 
 
 def _column_sets(n, bound):
@@ -284,20 +286,20 @@ def _best_fit(delta: HPolytope, loads, psi):
 
 
 def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
-                    seed: int = 0, steps: int = 400) -> SimplexFit:
+                    seed: int = 0) -> SimplexFit:
     """Largest certified simplex over unimodular maps with bounded entries.
 
-    Exhaustive mode (n <= 3) scans every set of n columns with entries in
-    [-bound, bound], C((2 bound + 1)^n, n) determinants (WorkLimitError above
-    MAX_COLUMN_SETS).  The unimodular sets fall into groups by facet-load
-    vector; each group's LP value is one exact ray ratio (`_fit_value`), the
-    best value wins with ties broken lexicographically on the flattened psi,
-    and one Fourier-Motzkin solve on the winner gives the lex-least witness
-    x.  The result is a valid lower bound for any bound, and grows
-    monotonically with it.  Heuristic mode is a seeded random walk over
-    unimodular row operations that uses the same values and one final
-    Fourier-Motzkin solve; it certifies whatever it finds but makes no
-    maximality claim.
+    Exhaustive mode (n <= 3, else WorkLimitError) scans every set of n
+    columns with entries in [-bound, bound], C((2 bound + 1)^n, n)
+    determinants (WorkLimitError above MAX_COLUMN_SETS).  The unimodular
+    sets fall into groups by facet-load vector; each group's LP value is one
+    exact ray ratio (`_fit_value`), the best value wins with ties broken
+    lexicographically on the flattened psi, and one Fourier-Motzkin solve on
+    the winner gives the lex-least witness x.  The result is a valid lower
+    bound for any bound, and grows monotonically with it.  Heuristic mode is
+    a seeded random walk of HEURISTIC_STEPS unimodular row operations that
+    uses the same values and one final Fourier-Motzkin solve; it certifies
+    whatever it finds but makes no maximality claim.
     """
     if not delta.is_bounded():
         raise UnboundedError("unbounded")
@@ -306,7 +308,7 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
     n = delta.dim
     if mode == "exhaustive":
         if n > 3:
-            raise ValueError("exhaustive search supported for n <= 3; use heuristic")
+            raise WorkLimitError("exhaustive search supported for n <= 3; use heuristic")
         if bound < 1:
             raise ValueError("bound must be >= 1")
         if comb((2 * bound + 1) ** n, n) > MAX_COLUMN_SETS:
@@ -323,7 +325,7 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
         value = _fit_value(delta)
         best = current = linalg.identity(n)
         best_a = value(_facet_loads(dots, best))
-        for _ in range(steps):
+        for _ in range(HEURISTIC_STEPS):
             cand = [list(row) for row in current]
             op = rng.randrange(3)
             i = rng.randrange(n)

@@ -14,7 +14,9 @@ semigroup levels from every point pair, and the slide from a rebuilt,
 re-counted point set.  Move
 verification compares each level as two point sets, the slid lattice
 points of the source and those of the target, where the library compares
-one fibre per slide line.  The Bott
+one fibre per slide line.  The move and facet-swap oracles write the
+target data out entry by entry, where the library applies one generator
+shift to the whole matrix.  The Bott
 cube oracle is the generic geometric test that preceded the fibration
 criterion.  The q-triviality, exceptional-type, composition and ring-map
 oracles multiply ring classes through the general normal form, where the
@@ -50,7 +52,12 @@ from toricdeg.bott import (
     elementary_move,
     parametrized_move,
 )
-from toricdeg.errors import EmptyPolytopeError, LowerDimensionalError, UnboundedError
+from toricdeg.errors import (
+    EmptyPolytopeError,
+    LowerDimensionalError,
+    MoveError,
+    UnboundedError,
+)
 from toricdeg.geometry import (
     HalfSpace,
     HPolytope,
@@ -332,7 +339,8 @@ def verify_degeneration_move_oracle(b: BottData, k: int, l: int, c=None,
     """`bott.verify_degeneration_move` with its levels compared as point sets
     (`level_verdicts_oracle`) instead of line fibres; valid (k, l) only.
     The normality test that picks the dilation is the library's, which
-    `is_normal_oracle` checks elsewhere: uncapped, it would dominate."""
+    `is_normal_oracle` checks elsewhere: uncapped, it would dominate.  A
+    zero-shift move is the identity, so every level passes unslid."""
     entry = b.a[k - 1][l - 1]
     if c is None:
         move = elementary_move(b, k, l)
@@ -348,9 +356,58 @@ def verify_degeneration_move_oracle(b: BottData, k: int, l: int, c=None,
         big = big.scaled(dilated_by)
         poly_small = dilate(poly_small, dilated_by)
     d = SlideDirection(k, l, c)
-    levels = level_verdicts_oracle(poly_small, bott_polytope(big), d, max_level)
+    if move.result.a[k - 1][l - 1] == entry:
+        levels = tuple((m, True, None) for m in range(1, max_level + 1))
+    else:
+        levels = level_verdicts_oracle(poly_small, bott_polytope(big), d, max_level)
     return MoveVerification(b, move.result, d, levels, all(ok for _, ok, _ in levels),
                             dilated_by)
+
+
+def move_data_oracle(b: BottData, k: int, l: int, target_entry: int):
+    """The data and ring-map matrix of `bott.parametrized_move` before its
+    cube and descent checks, written out entry by entry: (data, matrix)."""
+    ki, li = k - 1, l - 1
+    entry = b.a[ki][li]
+    if (target_entry - entry) % 2:
+        raise MoveError("move displacement must be even (parity gate)")
+    shift = (target_entry - entry) // 2
+    rows = [list(r) for r in b.a]
+    rows[ki][li] = target_entry
+    for i in range(b.n):
+        if i != ki and b.a[i][ki]:
+            rows[i][li] = b.a[i][li] + shift * b.a[i][ki]
+    lam = list(b.lam)
+    lam[li] = b.lam[li] + b.lam[ki] * shift
+    if lam[li] <= 0:
+        raise MoveError("move would force a nonpositive length; data is not a "
+                        "combinatorial hypercube")
+    m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
+    m[ki][li] = shift
+    return BottData.make(rows, lam), tuple(map(tuple, m))
+
+
+def flip_oracle(b: BottData, k: int):
+    """The data and ring-map matrix of `bott.flip`, written out entry by
+    entry: (data, matrix)."""
+    ki = k - 1
+    rows = [list(r) for r in b.a]
+    lam = list(b.lam)
+    for j in range(ki + 1, b.n):
+        coef = b.a[ki][j]
+        if coef == 0:
+            continue
+        rows[ki][j] = -coef
+        for i in range(ki):
+            rows[i][j] = b.a[i][j] - coef * b.a[i][ki]
+        lam[j] = lam[j] - coef * b.lam[ki]
+        if lam[j] <= 0:
+            raise MoveError("facet swap would force a nonpositive length; data "
+                            "is not a combinatorial hypercube")
+    m = [[1 if i == j else 0 for j in range(b.n)] for i in range(b.n)]
+    for j in range(ki + 1, b.n):
+        m[ki][j] = -b.a[ki][j]
+    return BottData.make(rows, lam), tuple(map(tuple, m))
 
 
 def sign_choice_vertices(b: BottData):

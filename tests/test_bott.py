@@ -23,7 +23,7 @@ from toricdeg.bott import (
     standard_form,
     verify_degeneration_move,
 )
-from toricdeg.errors import MoveError, NotIntegralError, NotQTrivialError
+from toricdeg.errors import InternalError, MoveError, NotIntegralError, NotQTrivialError
 from toricdeg.valuation import SlideDirection, build_semigroup, check_cone_condition
 
 from conftest import (
@@ -41,6 +41,7 @@ from oracles import (
     omega_class,
     sign_choice_vertices,
     special_elements,
+    verify_degeneration_move_oracle,
 )
 
 
@@ -682,6 +683,22 @@ class TestDecision:
                            match="standard form requires rationally trivial data"):
             standard_form(bad)
 
+    def test_broken_invariant_is_internal(self, monkeypatch):
+        # D(-4; 1, 5) is flipped first and then moved: an exceptional type
+        # that vanishes between the two steps breaks standardization
+        from toricdeg import bott
+        calls = []
+
+        def vanishing(b, k):
+            calls.append(k)
+            return exceptional_type(b, k) if len(calls) == 1 else None
+
+        monkeypatch.setattr(bott, "exceptional_type", vanishing)
+        b = hirz(-4, (1, 5))
+        with pytest.raises(InternalError, match="must stay exceptional"):
+            decide_symplectomorphic(b, b)
+        assert calls == [1, 1]
+
     def test_rational_lengths(self):
         # lengths are cleared to integers internally and rescaled at the end
         b1 = hirz(0, (Fraction(1, 2), Fraction(3, 2)))
@@ -723,6 +740,18 @@ class TestVerifyMove:
     def test_identity_passes(self):
         rep = verify_degeneration_move(hirz(0, (1, 3)), 1, 2, c=0, max_level=3)
         assert rep.all_pass
+
+    def test_zero_shift_is_identity(self):
+        # c = entry leaves the data unchanged; on these 3-d towers the slide
+        # by c would not be the identity, so no level may be slid
+        for rows, k, l, c in ((((0, 1, -1), (0, 0, 0), (0, 0, 0)), 1, 2, 1),
+                              (((0, -1, 0), (0, 0, 0), (0, 0, 0)), 1, 3, 0)):
+            b = BottData.make(rows, (2, 4, 5))
+            rep = verify_degeneration_move(b, k, l, c=c, max_level=3)
+            assert rep.target == b and rep.all_pass
+            assert rep.levels == ((1, True, None), (2, True, None), (3, True, None))
+            assert rep.slide == SlideDirection(k, l, c) and rep.dilated_by == 1
+            assert rep == verify_degeneration_move_oracle(b, k, l, c, 3)
 
     def test_wrong_target_fails_at_level_one(self):
         # negative control: semigroup of the slide vs a wrong target polytope

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -97,6 +98,17 @@ class TestCommands:
         assert code == 0
         assert rep["all_pass"] is True
         assert rep["target"]["lambda"] == ["1", "5"]
+
+    def test_bott_verify_move_zero_shift(self, tmp_path, capsys):
+        # --c equal to the entry is the identity move: every level passes
+        f = write(tmp_path, "b.json", {"n": 3, "A": [[0, 1, -1], [0, 0, 0], [0, 0, 0]],
+                                       "lambda": [2, 4, 5]})
+        code, rep = run(capsys, ["bott-verify-move", "--bott", f, "--k", "1", "--l", "2",
+                                 "--c", "1", "--max-level", "3"])
+        assert code == 0
+        assert rep["all_pass"] is True and rep["target"] == rep["source"]
+        assert rep["levels"] == [{"level": m, "ok": True} for m in (1, 2, 3)]
+        assert rep["slide"] == {"k": 1, "l": 2, "c": 1} and rep["dilated_by"] == 1
 
     def test_hirzebruch(self, capsys):
         code, rep = run(capsys, ["hirzebruch", "--a", "0", "--lam", "1,3",
@@ -201,6 +213,18 @@ class TestExitCodes:
         assert err["error"] == "WorkLimitError"
         assert "candidate space too large" in err["message"]
 
+    def test_exhaustive_dimension_limit_is_a_domain_error(self, tmp_path, capsys):
+        # the exhaustive search stops at dimension 3; a 4-d box is well formed
+        box = {"dim": 4, "vertices": [list(v) for v in itertools.product((0, 1), repeat=4)]}
+        code = main(["gw-simplex", "--polytope", write(tmp_path, "p.json", box),
+                     "--bound", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "WorkLimitError",
+            "message": "exhaustive search supported for n <= 3; use heuristic"}
+
     @pytest.mark.parametrize("c", [None, 1])
     @pytest.mark.parametrize("k, l", [(0, 2), (1, 3), (2, 2), (2, 1)])
     def test_verify_move_bad_indices(self, tmp_path, capsys, k, l, c):
@@ -230,17 +254,24 @@ class TestExitCodes:
         assert rep["symplectomorphic"] is False
 
     def test_internal_error(self, tmp_path, capsys, monkeypatch):
-        def broken(b):
-            raise AssertionError("standardization did not terminate")
+        # an exceptional type that vanishes after the first step of the
+        # standardization of D(-4; 1, 5) is a broken invariant
+        calls = []
+        real = bott.exceptional_type
 
-        monkeypatch.setattr(bott, "_standard_form", broken)
-        f = write(tmp_path, "b.json", BOTT4)
+        def vanishing(b, k):
+            calls.append(k)
+            return real(b, k) if len(calls) == 1 else None
+
+        monkeypatch.setattr(bott, "exceptional_type", vanishing)
+        f = write(tmp_path, "b.json", {"n": 2, "A": [[0, -4], [0, 0]], "lambda": [1, 5]})
         code = main(["bott-equiv", f, f])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "internal", "message": "standardization did not terminate"}
+            "error": "internal",
+            "message": "nonzero row must stay exceptional during standardization"}
 
     def test_unbounded_lp_is_internal(self, tmp_path, capsys, monkeypatch):
         # the simplex search only maximizes over bounded regions; an

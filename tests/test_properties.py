@@ -1,10 +1,16 @@
-"""Property-based tests of the polytope kernel and of Fourier-Motzkin
-elimination (skipped without hypothesis).
+"""Property-based tests of the polytope kernel, of Fourier-Motzkin
+elimination and of the CLI's exit-code contract (skipped without
+hypothesis).
 
 Examples are derandomized and no example database is written, so every run
 checks the same cases.
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -13,6 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from toricdeg import hull, lattice_points, linalg  # noqa: E402
+from toricdeg.cli import main  # noqa: E402
 from toricdeg.errors import EmptyPolytopeError, InternalError  # noqa: E402
 from toricdeg.geometry import HPolytope  # noqa: E402
 
@@ -162,3 +169,72 @@ def test_integer_fm_rows_match_fraction_normalization(system):
     rows, nvars, objective = system
     assert fm_outcome(linalg.fm_maximize, rows, nvars, objective) == \
         fm_outcome(fm_maximize_oracle, rows, nvars, objective)
+
+
+@st.composite
+def verify_move_requests(draw):
+    """bott-verify-move on mostly valid towers and indices; one request in
+    five breaks one thing: the declared n, an entry on or below the
+    diagonal, a zero, negative, fractional or malformed length, indices
+    outside 1 <= k < l <= n, or the level bound."""
+    n = draw(st.integers(2, 3))
+    rows = [[draw(st.integers(-2, 2)) if j > i else 0 for j in range(n)] for i in range(n)]
+    lam = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    k = draw(st.integers(1, n - 1))
+    l = draw(st.integers(k + 1, n))
+    level = draw(st.integers(1, 3))
+    flaw = draw(st.sampled_from(("none",) * 16 + ("n", "diagonal", "length", "index")))
+    body = {"n": n + (flaw == "n"), "A": rows, "lambda": lam}
+    if flaw == "diagonal":
+        i = draw(st.integers(0, n - 1))
+        rows[i][draw(st.integers(0, i))] = 1
+    elif flaw == "length":
+        lam[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0, -1, "1/2", "x", "1/0", 2.5)))
+    elif flaw == "index":
+        k, l, level = (draw(st.integers(-1, n + 1)) for _ in range(3))
+    argv = ["bott-verify-move", "--k", k, "--l", l, "--max-level", level]
+    c = draw(st.none() | st.integers(-1, 3))
+    return body, "--bott", argv + ([] if c is None else ["--c", c])
+
+
+@st.composite
+def gw_simplex_requests(draw):
+    """gw-simplex on vertex lists or inequality systems of dimension 1 to 4,
+    flat and unbounded ones included, and one in ten with the wrong dim; the
+    exhaustive entry bound stays small enough in dimension 3 that each
+    search is quick."""
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    if draw(st.booleans()):
+        body = {"dim": dim, "vertices": draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                                                      min_size=1, max_size=6))}
+    else:
+        row = st.lists(entry, min_size=dim, max_size=dim).map(lambda a: a + [1 + abs(a[0])])
+        body = {"dim": dim, "inequalities": draw(st.lists(row, min_size=1, max_size=7))}
+    if draw(st.integers(0, 9)) == 0:
+        body["dim"] = dim + 1
+    mode = draw(st.sampled_from(("exhaustive", "heuristic")))
+    bound = draw(st.integers(-1, 1 if dim >= 3 else 3))
+    argv = ["gw-simplex", "--mode", mode, "--bound", bound, "--seed", draw(st.integers(0, 3))]
+    return body, "--polytope", argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(verify_move_requests(), gw_simplex_requests()))
+def test_cli_exit_codes(request):
+    """Every request ends in exit 0 with a JSON report, or in exit 2, 3 or 4
+    with one JSON error object on stderr: never a raw traceback."""
+    body, flag, argv = request
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(body, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(x) for x in argv] + [flag, path])
+    if code == 0:
+        assert json.loads(out.getvalue()) and not err.getvalue()
+    else:
+        assert code in (2, 3, 4)
+        assert not out.getvalue()
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
