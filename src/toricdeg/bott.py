@@ -10,6 +10,10 @@ swaps, and block permutations reduces any rationally trivial datum to a
 canonical product of standard blocks, on which symplectomorphism is
 decidable by direct comparison.
 
+The cube test reads each prefix minimum of u_j in closed form, O(n^3).
+Standardization shifts generators along exceptional directions, so its steps
+descend by construction and a decision checks only the composed certificate.
+
 The decision path works in degrees <= 2, where x_p^2 = -sum_q A^p_q x_p x_q
 is the whole reduction.  A linear class is its coefficient row (the
 symplectic class is the row lam), a ring map is its coefficient matrix, and
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from . import linalg
 from .errors import InternalError, MoveError, NotQTrivialError
@@ -73,22 +77,25 @@ def bott_polytope(b: BottData) -> HPolytope:
 
 
 def is_hypercube(b: BottData) -> bool:
-    """Combinatorial hypercube test by the fibration criterion.
+    """Combinatorial hypercube test by the prefix-minimum criterion.
 
     D fibres over the prefix (j-1)-cube with fibre [0, u_j], where
-    u_j(p) = lam_j - sum_{i<j} A^i_j p_i is affine, so D is a cube iff
-    u_j > 0 at every sign-choice vertex of every prefix cube.  The vertices
-    grow one coordinate at a time (p_j = 0 or p_j = u_j): O(n 2^n) steps.
+    u_j(p) = lam_j - sum_{i<j} A^i_j p_i is affine, so D is a cube iff every
+    u_j has a positive minimum over its prefix cube.  Eliminate p_{j-1} down
+    to p_1: p_i ranges over [0, u_i(p_<i)] (nonempty, u_i > 0 was checked
+    first) and its coefficient c_i is free of p_<i, so p_i becomes 0 when
+    c_i >= 0 and u_i when c_i < 0.  The constant left is the minimum: O(n^3).
     """
-    verts = [()]
     for j in range(b.n):
-        grown = []
-        for p in verts:
-            u = b.lam[j] - sum(b.a[i][j] * p[i] for i in range(j))
-            if u <= 0:
-                return False
-            grown += [p + (0,), p + (u,)]
-        verts = grown
+        const = b.lam[j]
+        c = [-b.a[i][j] for i in range(j)]
+        for i in range(j - 1, -1, -1):
+            if c[i] < 0:
+                const += c[i] * b.lam[i]
+                for h in range(i):
+                    c[h] -= c[i] * b.a[h][i]
+        if const <= 0:
+            return False
     return True
 
 
@@ -235,10 +242,6 @@ class RingMap:
             raise ValueError("map is not invertible over the integers")
         return RingMap(self.target, self.source, tuple(tuple(map(int, row)) for row in inv))
 
-    @staticmethod
-    def identity(ring) -> "RingMap":
-        return RingMap(ring, ring, linalg.identity(ring.n))
-
 
 def ring_map_check(f: RingMap, lam, lam_t) -> bool:
     """Does f descend, invert over Z, and carry omega = sum lam_i x_i to
@@ -376,6 +379,9 @@ def permutation_move(b: BottData, perm) -> Move:
 
 @dataclass(frozen=True)
 class StandardForm:
+    """`trace` lists the steps from the data scaled by `scale` to `data` as
+    ("flip", (k,)), ("move", (k, l, target_entry)) and ("permute", perm)."""
+
     partition: tuple
     lam: tuple
     data: BottData
@@ -392,7 +398,7 @@ def _row_standard(a, k):
 
 
 def standard_form(b: BottData) -> StandardForm:
-    """Reduce rationally trivial data to the canonical block product.
+    """Reduce rationally trivial cube data to the canonical block product.
 
     Processing runs over k from n-1 down to 1; at each k the exceptional
     entry is either moved to its normalized value (0 or -1) when the
@@ -403,22 +409,24 @@ def standard_form(b: BottData) -> StandardForm:
     """
     if not is_q_trivial(b):
         raise NotQTrivialError("standard form requires rationally trivial data")
+    if not is_hypercube(b):
+        raise MoveError("standard form requires combinatorial-hypercube data")
     return _standard_form(b)
 
 
 def _standard_form(b: BottData) -> StandardForm:
-    """`standard_form` for data already known to be rationally trivial."""
-    scale = 1
-    for x in b.lam:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    scale = Fraction(scale)
+    """`standard_form` for rationally trivial cube data.  Each step is the
+    `_shift` I + e_k v^T along the exceptional direction; the certificate M
+    takes it as the column operation M <- M + (M e_k) v^T."""
+    scale = Fraction(lcm(*(x.denominator for x in b.lam)))
+    n = b.n
     current = b.scaled(scale)
     trace = []
-    composed = RingMap.identity(CohRing.of(current))
-    for k in range(b.n - 1, 0, -1):
+    composed = [list(row) for row in linalg.identity(n)]
+    for k in range(n - 1, 0, -1):
         # Each move strictly advances the leading column of row k and at most
         # one facet swap precedes each move, so 2n+2 steps always suffice.
-        for _ in range(2 * b.n + 2):
+        for _ in range(2 * n + 2):
             if _row_standard(current.a, k):
                 break
             ex = exceptional_type(current, k)
@@ -426,17 +434,22 @@ def _standard_form(b: BottData) -> StandardForm:
                 raise InternalError("nonzero row must stay exceptional during "
                                     "standardization")
             target_entry = 0 if ex.kind == "even" else -1
-            if current.a[k - 1][ex.l - 1] + target_entry < 0:
-                step = flip(current, k)
+            entry = current.a[k - 1][ex.l - 1]
+            if entry + target_entry < 0:
+                trace.append(("flip", (k,)))
+                v, noun = [-x for x in current.a[k - 1]], "facet swap"
             else:
-                step = parametrized_move(current, k, ex.l, target_entry)
-            trace.append(step)
-            composed = composed.compose(step.ring_map)
-            current = step.result
+                trace.append(("move", (k, ex.l, target_entry)))
+                shift = (target_entry - entry) // 2
+                v, noun = [shift * (j == ex.l - 1) for j in range(n)], "move"
+            current, _ = _shift(current, k, v, noun)
+            for row in composed:
+                c = row[k - 1]
+                if c:
+                    row[:] = [x + c * vj for x, vj in zip(row, v)]
         else:
             raise InternalError("standardization did not terminate")
     # Read the block structure: every nonzero row points at its terminal.
-    n = b.n
     pointer = {}
     for k in range(1, n + 1):
         row = current.a[k - 1]
@@ -461,13 +474,14 @@ def _standard_form(b: BottData) -> StandardForm:
         for k in order:
             perm[k - 1] = pos
             pos += 1
+    trace.append(("permute", tuple(perm)))
     step = permutation_move(current, perm)
-    trace.append(step)
-    composed = composed.compose(step.ring_map)
     current = step.result
     partition = tuple(blk[0] for blk in blocks)
     lam_out = tuple(x / scale for x in current.lam)
-    return StandardForm(partition, lam_out, current, tuple(trace), composed, scale)
+    ring_map = RingMap(CohRing.of(b), step.ring_map.target,
+                       linalg.mat_mul(composed, step.ring_map.m))
+    return StandardForm(partition, lam_out, current, tuple(trace), ring_map, scale)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .errors import (
     LowerDimensionalError,
     NotIntegralError,
     UnboundedError,
+    WorkLimitError,
 )
 
 MAX_DIM = 8
@@ -174,8 +175,10 @@ class HPolytope:
     __slots__ = ("dim", "halfspaces", "_vertices", "_bounded")
 
     def __init__(self, dim, halfspaces):
-        if dim < 1 or dim > MAX_DIM:
+        if dim < 1:
             raise ValueError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
+        if dim > MAX_DIM:
+            raise WorkLimitError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
         hs = sorted(set(halfspaces), key=lambda h: (h.normal, h.rhs))
         for h in hs:
             if len(h.normal) != dim:
@@ -243,10 +246,6 @@ class HPolytope:
             raise UnboundedError("unbounded")
         return self._vertices
 
-    def is_empty(self):
-        self._describe()
-        return not self._vertices
-
     def affine_hull_dim(self):
         """Dimension of the affine span; lower-dimensional sets report < dim."""
         verts = self.vertex_set()
@@ -258,23 +257,6 @@ class HPolytope:
 
     def is_integral(self):
         return all(is_integral_vec(v) for v in self.vertex_set())
-
-    def affine_unimodular_image(self, m, t):
-        """Image under p -> m p + t with m integer unimodular, t rational."""
-        if abs(linalg.mat_det(m)) != 1:
-            raise ValueError("transform matrix must be unimodular")
-        minv = linalg.mat_inverse(m)
-        t = frac_vec(t)
-        half = []
-        for h in self.halfspaces:
-            a = linalg.mat_vec(linalg.transpose(minv), h.normal)
-            half.append(HalfSpace.make(a, h.rhs + linalg.vec_dot(a, t)))
-        img = HPolytope(self.dim, half)
-        if self._vertices is not None:
-            img._bounded = self._bounded
-            img._vertices = tuple(
-                sorted(linalg.vec_add(linalg.mat_vec(m, v), t) for v in self._vertices))
-        return img
 
 
 def integer_image(p: HPolytope, point_map, normal_map) -> HPolytope:

@@ -11,12 +11,24 @@ from math import gcd
 import pytest
 
 from toricdeg import dilate, hull, lattice_points, linalg
-from toricdeg.bott import BottData, bott_polytope, is_hypercube
+from toricdeg.bott import (
+    BottData,
+    bott_polytope,
+    flip,
+    is_hypercube,
+    parametrized_move,
+    permutation_move,
+)
 from toricdeg.errors import NotSmoothError
 from toricdeg.geometry import HPolytope, LatticePointSet, frac_vec
 from toricdeg.valuation import GradedSemigroup
 
-from oracles import CohClass, edges_at_vertices, primitive_int_vector
+from oracles import (
+    CohClass,
+    affine_unimodular_image,
+    edges_at_vertices,
+    primitive_int_vector,
+)
 
 
 def unit_box(dims):
@@ -137,6 +149,21 @@ def scramble_bott(b, rng, steps=5):
     return current
 
 
+def replay_trace(b, sf):
+    """The `Move`s of a standard form's trace, replayed from b scaled by
+    sf.scale through the checked public steps; each must succeed and
+    report the kind and parameters it was replayed with."""
+    steps = {"flip": flip, "move": parametrized_move, "permute": permutation_move}
+    current = b.scaled(sf.scale)
+    out = []
+    for kind, params in sf.trace:
+        mv = steps[kind](current, *((params,) if kind == "permute" else params))
+        assert (mv.kind, mv.params) == (kind, params)
+        out.append(mv)
+        current = mv.result
+    return out
+
+
 def brute_force_decomposition(point, base_points, m):
     """Independent check that point splits into m elements of base_points."""
     if m == 0:
@@ -212,7 +239,7 @@ def normalize_at_vertex(p, v):
     m = linalg.mat_inverse(u)
     m = tuple(tuple(int(x) for x in row) for row in m)
     t = tuple(-x for x in linalg.mat_vec(m, v))
-    return p.affine_unimodular_image(m, t), (m, t)
+    return affine_unimodular_image(p, m, t), (m, t)
 
 
 @pytest.fixture

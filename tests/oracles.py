@@ -16,14 +16,19 @@ verification compares each level as two point sets, the slid lattice
 points of the source and those of the target, where the library compares
 one fibre per slide line.  The move and facet-swap oracles write the
 target data out entry by entry, where the library applies one generator
-shift to the whole matrix.  The Bott
-cube oracle is the generic geometric test that preceded the fibration
-criterion.  The q-triviality, exceptional-type, composition and ring-map
-oracles multiply ring classes through the general normal form, where the
-library reads closed degree-2 forms off the matrices; the class arithmetic
-they use (`CohClass`, `apply`, `special_elements`) is kept here, since the
-library's classes are coefficient rows and dicts.  The normal-form oracle
-rewrites the polynomial term by term, with neither memo nor degree cut.
+shift to the whole matrix.  The Bott cube oracles are the generic
+geometric test that preceded the fibration criterion and the vertex growth
+that preceded its prefix-minimum closed form; the standard-form oracle
+standardizes through the checked public moves and composes one matrix
+product per step, where the library shifts generators directly.  The
+affine image and the emptiness test are the polytope methods nothing in
+the library called.  The q-triviality, exceptional-type, composition and
+ring-map oracles multiply ring classes through the general normal form,
+where the library reads closed degree-2 forms off the matrices; the class
+arithmetic they use (`CohClass`, `apply`, `special_elements`) is kept here,
+since the library's classes are coefficient rows and dicts.  The
+normal-form oracle rewrites the polynomial term by term, with neither memo
+nor degree cut.
 The simplex-search oracle solves one LP per unimodular candidate, found by
 a scan of every bounded-entry matrix, where the library scans column sets,
 values each facet-load vector by a dual-ray ratio and solves one LP; the
@@ -48,12 +53,18 @@ from toricdeg.bott import (
     ExceptionalType,
     MoveVerification,
     RingMap,
+    StandardForm,
+    _row_standard,
     bott_polytope,
     elementary_move,
+    exceptional_type,
+    flip,
     parametrized_move,
+    permutation_move,
 )
 from toricdeg.errors import (
     EmptyPolytopeError,
+    InternalError,
     LowerDimensionalError,
     MoveError,
     UnboundedError,
@@ -193,6 +204,31 @@ def vertex_set_oracle(p: HPolytope):
             raise UnboundedError("unbounded")
         raise EmptyPolytopeError("empty")
     return tuple(cands)
+
+
+def is_empty(p: HPolytope) -> bool:
+    """No point satisfies the system: its double description has no vertex."""
+    p._describe()
+    return not p._vertices
+
+
+def affine_unimodular_image(p: HPolytope, m, t) -> HPolytope:
+    """Image under x -> m x + t with m integer unimodular and t rational;
+    carries the cached vertices over when P has them."""
+    if abs(linalg.mat_det(m)) != 1:
+        raise ValueError("transform matrix must be unimodular")
+    minv = linalg.mat_inverse(m)
+    t = frac_vec(t)
+    half = []
+    for h in p.halfspaces:
+        a = linalg.mat_vec(linalg.transpose(minv), h.normal)
+        half.append(HalfSpace.make(a, h.rhs + linalg.vec_dot(a, t)))
+    img = HPolytope(p.dim, half)
+    if p._vertices is not None:
+        img._bounded = p._bounded
+        img._vertices = tuple(
+            sorted(linalg.vec_add(linalg.mat_vec(m, v), t) for v in p._vertices))
+    return img
 
 
 def lattice_points_oracle(p: HPolytope) -> LatticePointSet:
@@ -442,6 +478,86 @@ def is_hypercube_oracle(b: BottData) -> bool:
         if b.n > 1 and (not diffs or linalg.mat_rank(diffs) != b.n - 1):
             return False
     return True
+
+
+def is_hypercube_growth_oracle(b: BottData) -> bool:
+    """The fibration criterion by vertex growth: u_j > 0 at every
+    sign-choice vertex of every prefix cube, the vertices grown one
+    coordinate at a time (p_j = 0 or p_j = u_j), O(n 2^n) steps."""
+    verts = [()]
+    for j in range(b.n):
+        grown = []
+        for p in verts:
+            u = b.lam[j] - sum(b.a[i][j] * p[i] for i in range(j))
+            if u <= 0:
+                return False
+            grown += [p + (0,), p + (u,)]
+        verts = grown
+    return True
+
+
+def standard_form_oracle(b: BottData) -> StandardForm:
+    """`bott._standard_form` through the checked public moves: every step is
+    a `flip` or `parametrized_move` (cube test and ring-map check each), the
+    trace holds the `Move`s, and the certificate is composed one matrix
+    product per step."""
+    scale = 1
+    for x in b.lam:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    scale = Fraction(scale)
+    current = b.scaled(scale)
+    trace = []
+    ring = CohRing.of(current)
+    composed = RingMap(ring, ring, linalg.identity(b.n))
+    for k in range(b.n - 1, 0, -1):
+        for _ in range(2 * b.n + 2):
+            if _row_standard(current.a, k):
+                break
+            ex = exceptional_type(current, k)
+            if ex is None or ex.c == 0:
+                raise InternalError("nonzero row must stay exceptional during "
+                                    "standardization")
+            target_entry = 0 if ex.kind == "even" else -1
+            if current.a[k - 1][ex.l - 1] + target_entry < 0:
+                step = flip(current, k)
+            else:
+                step = parametrized_move(current, k, ex.l, target_entry)
+            trace.append(step)
+            composed = composed.compose(step.ring_map)
+            current = step.result
+        else:
+            raise InternalError("standardization did not terminate")
+    n = b.n
+    pointer = {}
+    for k in range(1, n + 1):
+        nz = [j + 1 for j, x in enumerate(current.a[k - 1]) if x]
+        if nz:
+            pointer[k] = nz[0]
+    members = {}
+    for k in range(1, n + 1):
+        t = pointer.get(k, k)
+        if t in pointer:
+            raise InternalError("block terminal must have a zero row")
+        members.setdefault(t, []).append(k)
+    blocks = []
+    for t, ks in members.items():
+        nonterm = sorted((current.lam[k - 1], k) for k in ks if k != t)
+        blocks.append((len(ks), current.lam[t - 1], tuple(v for v, _ in nonterm),
+                       min(ks), [k for _, k in nonterm] + [t]))
+    blocks.sort(key=lambda blk: (blk[0], blk[1], blk[2], blk[3]))
+    perm = [0] * n
+    pos = 0
+    for _, _, _, _, order in blocks:
+        for k in order:
+            perm[k - 1] = pos
+            pos += 1
+    step = permutation_move(current, perm)
+    trace.append(step)
+    composed = composed.compose(step.ring_map)
+    current = step.result
+    partition = tuple(blk[0] for blk in blocks)
+    lam_out = tuple(x / scale for x in current.lam)
+    return StandardForm(partition, lam_out, current, tuple(trace), composed, scale)
 
 
 def reduce_exponents_oracle(a, exp):

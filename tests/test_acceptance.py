@@ -44,7 +44,7 @@ from conftest import (
     scramble_bott,
     unit_box,
 )
-from oracles import apply, omega_class, special_elements
+from oracles import affine_unimodular_image, apply, omega_class, special_elements
 from test_gromov import oracle_best_a
 
 
@@ -211,7 +211,7 @@ def test_criterion_8_decision_on_scripted_pairs():
         p1 = bott_polytope(BottData(n, s1.data.a, s1.lam))
         p2 = bott_polytope(BottData(n, s2.data.a, s2.lam))
         lam_t = linalg.transpose(dec.lam_matrix)
-        assert p2.affine_unimodular_image(lam_t, (0,) * n) == p1
+        assert affine_unimodular_image(p2, lam_t, (0,) * n) == p1
         # certificate: the ring map carries one symplectic class to the other
         omega1 = omega_class(CohRing.of(b1), b1.lam)
         omega2 = omega_class(CohRing.of(b2), b2.lam)

@@ -225,6 +225,35 @@ class TestExitCodes:
             "error": "WorkLimitError",
             "message": "exhaustive search supported for n <= 3; use heuristic"}
 
+    @pytest.mark.parametrize("argv", [["bott-polytope"],
+                                      ["bott-verify-move", "--k", "1", "--l", "2"],
+                                      ["vertices"]])
+    def test_dimension_past_max_dim_is_a_work_limit(self, tmp_path, capsys, argv):
+        # a well-formed n = 9 cube tower, or a 9-d box, needs a polytope
+        # past MAX_DIM = 8: a work limit, not malformed input
+        rows = [[0] * 9 for _ in range(9)]
+        if argv[0] == "vertices":
+            flag, body = "--polytope", {"dim": 9, "inequalities": [
+                [(i == j) - (i + 9 == j) for i in range(9)] + [1 if j < 9 else 0]
+                for j in range(18)]}
+        else:
+            flag, body = "--bott", {"n": 9, "A": rows, "lambda": list(range(1, 10))}
+        code = main(argv + [flag, write(tmp_path, "in.json", body)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "WorkLimitError",
+            "message": "dimension 9 outside supported range 1..8"}
+
+    def test_equiv_has_no_dimension_cap(self, tmp_path, capsys):
+        # bott-equiv builds no polytope, so n = 9 is decided
+        rows = [[-1 if j == 8 and i < 8 else 0 for j in range(9)] for i in range(9)]
+        f = write(tmp_path, "b.json", {"n": 9, "A": rows, "lambda": list(range(1, 10))})
+        code, rep = run(capsys, ["bott-equiv", f, f])
+        assert code == 0
+        assert rep["symplectomorphic"] is True
+
     @pytest.mark.parametrize("c", [None, 1])
     @pytest.mark.parametrize("k, l", [(0, 2), (1, 3), (2, 2), (2, 1)])
     def test_verify_move_bad_indices(self, tmp_path, capsys, k, l, c):

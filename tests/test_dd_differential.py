@@ -23,9 +23,11 @@ from toricdeg.geometry import HalfSpace, HPolytope
 
 from conftest import random_bott_hypercube
 from oracles import (
+    affine_unimodular_image,
     flat_hull_oracle,
     hull_oracle,
     is_delzant_smooth_oracle,
+    is_empty,
     recession_trivial,
     vertex_set_oracle,
 )
@@ -230,7 +232,7 @@ class TestEmptinessAndBoundednessAgainstFM:
             pointed = linalg.mat_rank([h.normal for h in make().halfspaces]) == dim
             feasible = linalg.fm_feasible([(h.normal, h.rhs) for h in make().halfspaces], dim)
             bounded = recession_trivial(make())
-            assert make().is_empty() == (not feasible), rows
+            assert is_empty(make()) == (not feasible), rows
             assert make().is_bounded() == bounded, rows
             got = outcome(HPolytope.vertex_set, make())
             want = EmptyPolytopeError if not feasible else UnboundedError if not bounded else tuple
@@ -280,7 +282,7 @@ class TestSmoothnessAgainstOracle:
         polys = [p]
         if rng is not None:
             t = tuple(rational(rng, -3, 3) for _ in range(p.dim))
-            polys.append(p.affine_unimodular_image(random_unimodular(rng, p.dim), t))
+            polys.append(affine_unimodular_image(p, random_unimodular(rng, p.dim), t))
         seen = set()
         for q in polys:
             got = smoothness(is_delzant_smooth, q)

@@ -29,7 +29,7 @@ from conftest import (
     random_integral_polygon,
     unit_box,
 )
-from oracles import edges_at_vertices
+from oracles import affine_unimodular_image, edges_at_vertices, is_empty
 
 
 def fr(x):
@@ -195,7 +195,7 @@ class TestOneDoubleDescription:
         p = HPolytope.from_inequalities(2, self.PENTAGON)
         assert p.is_bounded()
         assert len(p.vertex_set()) == 5
-        assert not p.is_empty()
+        assert not is_empty(p)
         assert len(dd_calls) == 1
         assert p == HPolytope.from_inequalities(2, self.PENTAGON + [[1, 1, 6]])
         assert len(dd_calls) == 2      # one for the other polytope
@@ -205,8 +205,8 @@ class TestOneDoubleDescription:
         p.vertex_set()
         dd_calls.clear()
         for q in (dilate(p, Fraction(3, 2)),
-                  p.affine_unimodular_image(((1, 1), (0, 1)), (1, Fraction(1, 2)))):
-            assert q.is_bounded() and not q.is_empty()
+                  affine_unimodular_image(p, ((1, 1), (0, 1)), (1, Fraction(1, 2)))):
+            assert q.is_bounded() and not is_empty(q)
             assert len(q.vertex_set()) == 5
         assert dd_calls == []
 
@@ -220,7 +220,7 @@ class TestOneDoubleDescription:
         empty_strip = HPolytope.from_inequalities(2, [[1, 0, 0], [-1, 0, -1]])
         for p, error in ((strip, UnboundedError), (empty_strip, EmptyPolytopeError)):
             assert not p.is_bounded()
-            assert p.is_empty() == (error is EmptyPolytopeError)
+            assert is_empty(p) == (error is EmptyPolytopeError)
             with pytest.raises(error):
                 p.vertex_set()
         assert len(dd_calls) == 2
@@ -296,7 +296,7 @@ class TestSmoothness:
             verdict = is_delzant_smooth(p)[0]
             for m in maps:
                 t = (rng.randint(-3, 3), rng.randint(-3, 3))
-                q = p.affine_unimodular_image(m, t)
+                q = affine_unimodular_image(p, m, t)
                 assert is_delzant_smooth(q)[0] == verdict
 
 

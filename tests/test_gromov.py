@@ -22,6 +22,7 @@ from toricdeg.gromov import (
 
 from conftest import corner_simplex, random_integral_polygon, unit_box
 from oracles import (
+    affine_unimodular_image,
     best_fit_for_psi_oracle,
     best_simplex_lb_oracle,
     load_groups_oracle,
@@ -233,7 +234,7 @@ class TestBestSimplex:
             p = random_integral_polygon(rng)
             fit = best_simplex_lb(p, 2)
             t = (rng.randint(-2, 2), rng.randint(-2, 2))
-            q = p.affine_unimodular_image(lam, t)
+            q = affine_unimodular_image(p, lam, t)
             moved_psi = tuple(tuple(sum(lam[i][k] * fit.psi[k][j] for k in range(2))
                                     for j in range(2)) for i in range(2))
             moved_x = tuple(sum(lam[i][k] * fit.x[k] for k in range(2)) + t[i]

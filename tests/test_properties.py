@@ -23,7 +23,7 @@ from toricdeg.cli import main  # noqa: E402
 from toricdeg.errors import EmptyPolytopeError, InternalError  # noqa: E402
 from toricdeg.geometry import HPolytope  # noqa: E402
 
-from oracles import fm_maximize_oracle  # noqa: E402
+from oracles import affine_unimodular_image, fm_maximize_oracle  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -108,7 +108,7 @@ def test_lattice_points_commute_with_unimodular_maps(case):
         pts = lattice_points(p)
     except EmptyPolytopeError:
         assume(False)
-    image = p.affine_unimodular_image(m, t)
+    image = affine_unimodular_image(p, m, t)
     moved = sorted(tuple(int(x) for x in linalg.vec_add(linalg.mat_vec(m, q), t))
                    for q in pts)
     assert list(lattice_points(image)) == moved
@@ -194,7 +194,7 @@ def verify_move_requests(draw):
         k, l, level = (draw(st.integers(-1, n + 1)) for _ in range(3))
     argv = ["bott-verify-move", "--k", k, "--l", l, "--max-level", level]
     c = draw(st.none() | st.integers(-1, 3))
-    return body, "--bott", argv + ([] if c is None else ["--c", c])
+    return [body], "--bott", argv + ([] if c is None else ["--c", c])
 
 
 @st.composite
@@ -216,22 +216,67 @@ def gw_simplex_requests(draw):
     mode = draw(st.sampled_from(("exhaustive", "heuristic")))
     bound = draw(st.integers(-1, 1 if dim >= 3 else 3))
     argv = ["gw-simplex", "--mode", mode, "--bound", bound, "--seed", draw(st.integers(0, 3))]
-    return body, "--polytope", argv
+    return [body], "--polytope", argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.one_of(verify_move_requests(), gw_simplex_requests()))
+@st.composite
+def bott_towers(draw, max_n):
+    """A tower with n = 1..max_n and entries in -3..3: either nonzero entries
+    at a drawn density of 1, 3 or 7 in 10 (mostly not rationally trivial,
+    often not a cube), or blocks whose rows point at their terminal with any
+    entry (rationally trivial, a cube or not).  One tower in five has a
+    length that is zero, negative or rational."""
+    n = draw(st.integers(1, max_n))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        density = draw(st.sampled_from((1, 3, 7)))
+        rows = [[draw(entry.filter(bool)) if j > i and draw(st.integers(0, 9)) < density
+                 else 0 for j in range(n)] for i in range(n)]
+    else:
+        rows = [[0] * n for _ in range(n)]
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+        for start, end in zip([0] + cuts, cuts + [n]):
+            for i in range(start, end - 1):
+                rows[i][end - 1] = draw(entry)
+    lam = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+    if draw(st.integers(0, 4)) == 0:
+        lam[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0, -1, "1/2", "7/3")))
+    return {"n": n, "A": rows, "lambda": lam}
+
+
+@st.composite
+def bott_requests(draw):
+    """bott-polytope on a tower with n <= 9 (9 is past the polytope
+    dimension cap), or bott-equiv with n <= 12 on the tower and itself, the
+    tower with one length changed, or another tower."""
+    if draw(st.booleans()):
+        return [draw(bott_towers(9))], "--bott", ["bott-polytope"]
+    first = draw(bott_towers(12))
+    pick = draw(st.sampled_from(("same", "length", "other")))
+    if pick == "other":
+        second = draw(bott_towers(12))
+    else:
+        second = dict(first, **{"lambda": list(first["lambda"])})
+        if pick == "length":
+            second["lambda"][draw(st.integers(0, first["n"] - 1))] = draw(st.integers(1, 20))
+    return [first, second], None, ["bott-equiv"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(verify_move_requests(), gw_simplex_requests(), bott_requests()))
 def test_cli_exit_codes(request):
     """Every request ends in exit 0 with a JSON report, or in exit 2, 3 or 4
-    with one JSON error object on stderr: never a raw traceback."""
-    body, flag, argv = request
+    with one JSON error object on stderr: never a raw traceback.  The input
+    files follow a flag, or stand as positional arguments without one."""
+    bodies, flag, argv = request
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "in.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(body, fh)
+        paths = [os.path.join(tmp, f"in{i}.json") for i in range(len(bodies))]
+        for path, body in zip(paths, bodies):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(body, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(x) for x in argv] + [flag, path])
+            code = main([str(x) for x in argv] + (paths if flag is None else [flag] + paths))
     if code == 0:
         assert json.loads(out.getvalue()) and not err.getvalue()
     else:

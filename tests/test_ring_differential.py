@@ -25,7 +25,7 @@ from toricdeg.bott import (
 )
 from toricdeg.errors import MoveError
 
-from conftest import random_bott_hypercube, random_standard_bott, scramble_bott
+from conftest import random_bott_hypercube, random_standard_bott, replay_trace, scramble_bott
 from oracles import (
     apply,
     compose_oracle,
@@ -228,8 +228,9 @@ class TestRingMapOracle:
         for t in range(12):
             b = scramble_bott(random_standard_bott(rng, 2 + t % 3), rng, steps=4)
             sf = standard_form(b)
-            fast = slow = RingMap.identity(CohRing.of(b.scaled(sf.scale)))
-            for step in sf.trace:
+            ring = CohRing.of(b.scaled(sf.scale))
+            fast = slow = RingMap(ring, ring, linalg.identity(b.n))
+            for step in replay_trace(b, sf):
                 fast = fast.compose(step.ring_map)
                 slow = compose_oracle(slow, step.ring_map)
             assert fast.matrix() == slow.matrix() == sf.ring_map.matrix()
