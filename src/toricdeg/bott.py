@@ -32,9 +32,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import InternalError, MoveError, NotQTrivialError
-from .geometry import HalfSpace, HPolytope, dilate, is_normal, lattice_fibres
-from .valuation import SlideDirection, line_coordinates, slide_fibres
+from .errors import InternalError, MoveError, NotIntegralError, NotQTrivialError
+from .geometry import HalfSpace, HPolytope, lattice_fibres
+from .valuation import SlideDirection, line_coordinates
 
 
 @dataclass(frozen=True)
@@ -559,7 +559,7 @@ class MoveVerification:
     slide: SlideDirection
     levels: tuple          # (m, ok, detail) per level
     all_pass: bool
-    dilated_by: int
+    dilated_by: int        # always 1: a Bott polytope is normal
 
 
 def _level_verdicts(small: HPolytope, big: HPolytope, d: SlideDirection,
@@ -578,7 +578,7 @@ def _level_verdicts(small: HPolytope, big: HPolytope, d: SlideDirection,
     tgt = line_coordinates(big, d)
     levels = []
     for m in range(1, max_level + 1):
-        have = [(key, 0, length) for key, length in slide_fibres(src, d, m)]
+        have = [(key, 0, b - a) for key, a, b in lattice_fibres(src, m)]
         want = list(lattice_fibres(tgt, m))
         detail = None
         if have != want:
@@ -596,20 +596,20 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
 
     The side with the smaller (k, l) entry is slid with parameter
     c = (entry + target entry) / 2; level by level the slide of its dilated
-    lattice points must equal the lattice points of the dilated target.
-    When the smaller-side polytope is not normal up to max_level both sides
-    are dilated by n - 1 first, which restores normality.  In the line
-    coordinates of the slide every slide line is a fibre of the last
+    lattice points must equal the lattice points of the dilated target.  In
+    the line coordinates of the slide every slide line is a fibre of the last
     coordinate, so each level compares one integer interval per line
     (`_level_verdicts`) instead of two point sets.
 
     Needs 1 <= k < l <= n (else MoveError).  The data must be a
     combinatorial cube (else MoveError) with integral lengths (else
-    `is_normal` raises NotIntegralError).  Its polytope is then integral,
-    Delzant (the rows tight at a vertex are triangular with a +-1 diagonal)
-    and in the orthant with the origin vertex, and its dilate by n - 1 is
-    normal (Bruns, Gubeladze and Trung 1997), so the slide levels need no
-    re-validation by `build_semigroup`.
+    NotIntegralError).  Its polytope {0 <= p_j <= u_j(p_<j)} is then
+    integral, Delzant (the rows tight at a vertex are triangular with a +-1
+    diagonal), in the orthant with the origin vertex, and normal: a lattice
+    point of mP splits over a split of its prefix into m lattice points y_i,
+    as u_n is affine with positive integer values u_n(y_i).  So the slide
+    levels need no dilation (`dilated_by` is 1) and no re-validation by
+    `build_semigroup`.
 
     A zero-shift move (c = entry, so the target entry is the entry) is the
     identity on the data and the ring: every level passes without a slide.
@@ -637,17 +637,13 @@ def verify_degeneration_move(b: BottData, k: int, l: int, c: int = None,
         small, big = b, move.result
     else:
         small, big = move.result, b
-    dilated_by = 1
     poly_small = bott_polytope(small)
-    ok, _ = is_normal(poly_small, max_level)
-    if not ok:
-        dilated_by = b.n - 1
-        big = big.scaled(dilated_by)
-        poly_small = dilate(poly_small, dilated_by)
+    if any(x.denominator != 1 for x in small.lam):
+        raise NotIntegralError("move verification requires integral lengths")
     direction = SlideDirection(k, l, c)
     if target_entry == entry:
         levels = tuple((m, True, None) for m in range(1, max_level + 1))
     else:
         levels = _level_verdicts(poly_small, bott_polytope(big), direction, max_level)
     return MoveVerification(b, move.result, direction, levels,
-                            all(ok for _, ok, _ in levels), dilated_by)
+                            all(ok for _, ok, _ in levels), 1)

@@ -3,8 +3,9 @@
 Every subcommand reads JSON, computes with exact arithmetic, and prints a
 deterministic JSON report; rationals are serialized as "p/q".  Exit codes:
 0 success (verdicts live in the JSON body, not the exit code), 2 malformed
-input, 3 mathematical precondition failure or work limit exceeded, 4
-internal error (a broken library invariant, as {"error": "internal", ...}).
+input or an output path that cannot be written, 3 mathematical precondition
+failure or work limit exceeded, 4 internal error (a broken library
+invariant, as {"error": "internal", ...}).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _max_level(args):
     env = os.environ.get("TORICDEG_MAX_LEVEL")
     if env is not None:
         try:
-            return max(1, int(env))
+            return int(env)
         except ValueError:
             raise SchemaError("TORICDEG_MAX_LEVEL must be an integer") from None
     return DEFAULT_MAX_LEVEL
@@ -48,8 +49,11 @@ def _emit(report, args):
     text = json.dumps(report, indent=2, sort_keys=False)
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out}: {exc}") from None
     else:
         print(text)
 
@@ -465,7 +469,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.func(args)
+        _emit(args.func(args), args)
     except SchemaError as exc:
         print(json.dumps({"error": "schema", "message": str(exc)}), file=sys.stderr)
         return 2
@@ -480,7 +484,6 @@ def main(argv=None):
     except AssertionError as exc:
         print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
         return 4
-    _emit(report, args)
     return 0
 
 

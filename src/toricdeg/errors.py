@@ -39,6 +39,10 @@ class NotNormalError(ToricDegError):
     """Polytope fails the normality (lattice decomposition) test."""
 
 
+class OriginCornerError(ToricDegError):
+    """Polytope lacks the origin vertex or leaves the nonnegative orthant."""
+
+
 class DependentBasisError(ToricDegError):
     """Valuation image requested for a linearly dependent family."""
 

@@ -415,6 +415,8 @@ def is_normal(p: HPolytope, max_degree: int):
     P (Bruns, Gubeladze and Trung, J. reine angew. Math. 485, 1997).  Level
     m is read in lex order off `lattice_fibres(p, m)`, without a dilate.
     """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     if not p.is_integral():
         raise NotIntegralError("normality check requires an integral polytope")
     top = min(max_degree, p.dim - 1)

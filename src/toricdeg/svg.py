@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import LowerDimensionalError
+from .errors import LowerDimensionalError, SchemaError
 
 UNIT = 40
 MARGIN = Fraction(1, 2)
@@ -101,6 +101,9 @@ def render_svg(polytopes, point_sets, path, highlights=None):
                 lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#1f3a5f"/>')
     lines.append("</svg>")
     data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(data)
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
     return data

@@ -21,6 +21,7 @@ from .errors import (
     NotIntegralError,
     NotNormalError,
     NotSmoothError,
+    OriginCornerError,
     ZeroPolynomialError,
 )
 from .geometry import HPolytope, LatticePointSet, dilate, hull
@@ -223,9 +224,9 @@ def _check_normalized_at_origin(p: HPolytope):
     verts = p.vertex_set()
     origin = tuple(Fraction(0) for _ in range(p.dim))
     if origin not in verts:
-        raise ValueError("polytope must have a vertex at the origin")
+        raise OriginCornerError("polytope must have a vertex at the origin")
     if any(x < 0 for v in verts for x in v):
-        raise ValueError("polytope must lie in the nonnegative orthant")
+        raise OriginCornerError("polytope must lie in the nonnegative orthant")
 
 
 def line_coordinates(p: HPolytope, d: SlideDirection) -> HPolytope:

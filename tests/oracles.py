@@ -374,9 +374,10 @@ def verify_degeneration_move_oracle(b: BottData, k: int, l: int, c=None,
                                     max_level: int = 4) -> MoveVerification:
     """`bott.verify_degeneration_move` with its levels compared as point sets
     (`level_verdicts_oracle`) instead of line fibres; valid (k, l) only.
-    The normality test that picks the dilation is the library's, which
-    `is_normal_oracle` checks elsewhere: uncapped, it would dominate.  A
-    zero-shift move is the identity, so every level passes unslid."""
+    It keeps the normality test and the dilation by n - 1 that the library
+    drops because Bott polytopes are normal; the test is the library's,
+    which `is_normal_oracle` checks elsewhere: uncapped, it would dominate.
+    A zero-shift move is the identity, so every level passes unslid."""
     entry = b.a[k - 1][l - 1]
     if c is None:
         move = elementary_move(b, k, l)

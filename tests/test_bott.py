@@ -40,6 +40,7 @@ from oracles import (
     apply,
     images,
     is_hypercube_oracle,
+    is_normal_oracle,
     omega_class,
     sign_choice_vertices,
     special_elements,
@@ -806,9 +807,12 @@ class TestVerifyMove:
 
     def test_rational_lengths_rejected(self):
         for c in (0, 1):
-            with pytest.raises(NotIntegralError):
+            with pytest.raises(NotIntegralError, match="integral lengths"):
                 verify_degeneration_move(hirz(0, (Fraction(1, 2), 3)), 1, 2, c=c,
                                          max_level=2)
+        # the move's own MoveError comes first
+        with pytest.raises(MoveError, match="combinatorial-hypercube"):
+            verify_degeneration_move(hirz(2, (Fraction(1, 2), 1)), 1, 2, c=1, max_level=2)
 
     def test_max_level_below_one_rejected(self):
         for c in (0, 1, 2):
@@ -818,9 +822,12 @@ class TestVerifyMove:
     def test_bott_polytopes_need_no_revalidation(self):
         """What `build_semigroup` would re-check holds for every cube with
         integral lengths: the polytope and its (n - 1)-dilate are integral,
-        have the origin vertex, lie in the orthant and are Delzant, and the
-        dilate is normal.  In dimension 4 normality is checked in degree 2
-        on dilates with at most 1000 lattice points, to keep the test fast."""
+        have the origin vertex, lie in the orthant and are Delzant, and both
+        are normal, so `verify_degeneration_move` never dilates.  The
+        polytope itself is checked up to degree n - 1, and below dimension 4
+        also by the uncapped oracle up to degree n.  In dimension 4 the
+        dilate is checked in degree 2 when it has at most 1000 lattice
+        points, to keep the test fast."""
         rng = random.Random(8801)
         normal_4d = 0
         for t in range(30):
@@ -834,7 +841,9 @@ class TestVerifyMove:
                 assert (Fraction(0),) * n in verts
                 assert all(x >= 0 for v in verts for x in v)
                 assert is_delzant_smooth(q) == (True, None)
+            assert is_normal(poly, n - 1) == (True, None)
             if n < 4:
+                assert is_normal_oracle(poly, n) == (True, None)
                 assert is_normal(big, n - 1) == (True, None)
             elif len(lattice_points(big)) <= 1000:
                 assert is_normal(big, 2) == (True, None)

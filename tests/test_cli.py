@@ -327,6 +327,59 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["summary"].startswith("4 vertices")
 
+    @pytest.mark.parametrize("target", ["dir", "missing"])
+    def test_unwritable_output_is_a_schema_error(self, tmp_path, capsys, target):
+        # a directory, or a file in a missing directory: no traceback
+        p = write(tmp_path, "p.json", RECT)
+        out = tmp_path if target == "dir" else tmp_path / "missing" / "r.json"
+        code = main(["vertices", "--polytope", p, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "schema"
+        assert err["message"].startswith(f"cannot write {out}: ")
+
+    def test_unwritable_svg_is_a_schema_error(self, tmp_path, capsys):
+        p = write(tmp_path, "p.json", RECT)
+        out = tmp_path / "missing" / "x.svg"
+        code = main(["render", "--polytope", p, "--svg", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "schema"
+        assert err["message"].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("command", ["semigroup", "okounkov", "saturation"])
+    @pytest.mark.parametrize("body, message", [
+        ({"dim": 2, "vertices": [[1, 1], [2, 1], [1, 2]]},
+         "polytope must have a vertex at the origin"),
+        ({"dim": 2, "vertices": [[-1, 0], [0, 0], [-1, 1], [0, 1]]},
+         "polytope must lie in the nonnegative orthant")])
+    def test_origin_corner_is_a_domain_error(self, tmp_path, capsys, command, body,
+                                             message):
+        # well-formed polytopes away from the origin corner fail a
+        # mathematical precondition, like NotSmoothError on the same path
+        p = write(tmp_path, "p.json", body)
+        code = main([command, "--polytope", p, "--k", "1", "--l", "2", "--c", "1",
+                     "--max-level", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "OriginCornerError",
+                                            "message": message}
+
+    @pytest.mark.parametrize("degree", ["-1", "0"])
+    def test_normal_check_degree_below_one(self, tmp_path, capsys, degree):
+        p = write(tmp_path, "p.json", RECT)
+        code = main(["normal-check", "--polytope", p, "--max-degree", degree])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "schema",
+                                            "message": "max_degree must be >= 1"}
+
     def test_verify_move_max_level_checked_first(self, tmp_path, capsys):
         # x_1 is not exceptional here, so a late check would report the
         # MoveError of the move instead of the malformed level bound
@@ -346,6 +399,17 @@ class TestExitCodes:
                                  "--k", "1", "--l", "2", "--c", "2"])
         assert code == 0
         assert rep["max_level"] == 2
+
+    def test_max_level_env_below_one(self, tmp_path, capsys, monkeypatch):
+        # the environment bound fails like the flag instead of clamping to 1
+        monkeypatch.setenv("TORICDEG_MAX_LEVEL", "0")
+        p = write(tmp_path, "p.json", RECT)
+        code = main(["semigroup", "--polytope", p, "--k", "1", "--l", "2", "--c", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "schema",
+                                            "message": "max_level must be >= 1"}
 
 
 class TestParserReuse:

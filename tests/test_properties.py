@@ -18,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from toricdeg import hull, lattice_points, linalg  # noqa: E402
+from toricdeg import gromov, hull, lattice_points, linalg  # noqa: E402
 from toricdeg.cli import main  # noqa: E402
 from toricdeg.errors import EmptyPolytopeError, InternalError  # noqa: E402
 from toricdeg.geometry import HPolytope  # noqa: E402
@@ -192,9 +192,9 @@ def verify_move_requests(draw):
         lam[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0, -1, "1/2", "x", "1/0", 2.5)))
     elif flaw == "index":
         k, l, level = (draw(st.integers(-1, n + 1)) for _ in range(3))
-    argv = ["bott-verify-move", "--k", k, "--l", l, "--max-level", level]
+    argv = ["bott-verify-move", "--bott", "{in0}", "--k", k, "--l", l, "--max-level", level]
     c = draw(st.none() | st.integers(-1, 3))
-    return [body], "--bott", argv + ([] if c is None else ["--c", c])
+    return [body], argv + ([] if c is None else ["--c", c])
 
 
 @st.composite
@@ -215,8 +215,9 @@ def gw_simplex_requests(draw):
         body["dim"] = dim + 1
     mode = draw(st.sampled_from(("exhaustive", "heuristic")))
     bound = draw(st.integers(-1, 1 if dim >= 3 else 3))
-    argv = ["gw-simplex", "--mode", mode, "--bound", bound, "--seed", draw(st.integers(0, 3))]
-    return [body], "--polytope", argv
+    argv = ["gw-simplex", "--polytope", "{in0}", "--mode", mode, "--bound", bound,
+            "--seed", draw(st.integers(0, 3))]
+    return [body], argv
 
 
 @st.composite
@@ -250,7 +251,7 @@ def bott_requests(draw):
     dimension cap), or bott-equiv with n <= 12 on the tower and itself, the
     tower with one length changed, or another tower."""
     if draw(st.booleans()):
-        return [draw(bott_towers(9))], "--bott", ["bott-polytope"]
+        return [draw(bott_towers(9))], ["bott-polytope", "--bott", "{in0}"]
     first = draw(bott_towers(12))
     pick = draw(st.sampled_from(("same", "length", "other")))
     if pick == "other":
@@ -259,24 +260,171 @@ def bott_requests(draw):
         second = dict(first, **{"lambda": list(first["lambda"])})
         if pick == "length":
             second["lambda"][draw(st.integers(0, first["n"] - 1))] = draw(st.integers(1, 20))
-    return [first, second], None, ["bott-equiv"]
+    return [first, second], ["bott-equiv", "{in0}", "{in1}"]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.one_of(verify_move_requests(), gw_simplex_requests(), bott_requests()))
+small = st.fractions(-2, 3, max_denominator=2)
+index = st.integers(-1, 3)
+
+
+def usually(draw, good, other):
+    """A draw from good, or from other one time in five."""
+    return draw(other if draw(st.integers(0, 4)) == 0 else good)
+
+
+@st.composite
+def polytope_bodies(draw, dims=(1, 2, 3)):
+    """A polytope file: a box [0, a] (smooth, at the origin corner), or up
+    to 6 vertices or rows with small rational entries, so that unbounded,
+    empty, flat and non-integral ones occur; one in ten declares the wrong
+    dim."""
+    dim = draw(st.sampled_from(dims))
+    kind = draw(st.sampled_from(("box", "vertices", "inequalities")))
+    if kind == "box":
+        rows = []
+        for i in range(dim):
+            e = [int(i == j) for j in range(dim)]
+            rows += [[-x for x in e] + [0], e + [draw(st.integers(1, 3 if dim < 3 else 2))]]
+        body = {"dim": dim, "inequalities": rows}
+    else:
+        width = dim if kind == "vertices" else dim + 1
+        entries = st.lists(small.map(str), min_size=width, max_size=width)
+        body = {"dim": dim, kind: draw(st.lists(entries, min_size=1, max_size=6))}
+    if draw(st.integers(0, 9)) == 0:
+        body["dim"] = dim + 1
+    return body
+
+
+@st.composite
+def polytope_requests(draw):
+    """render, usually of a polygon and optionally slid, to an SVG path in a
+    directory that exists or one that does not; or vertices, lattice-points,
+    normal-check at degrees -1..3, or smooth-check in dimension 1 to 3."""
+    command = draw(st.sampled_from(("render", "vertices", "lattice-points",
+                                    "normal-check", "smooth-check")))
+    argv = [command, "--polytope", "{in0}"]
+    if command == "render":
+        missing = draw(st.integers(0, 9)) == 0
+        argv += ["--svg", "{tmp}/missing/out.svg" if missing else "{tmp}/out.svg"]
+        if draw(st.booleans()):
+            slide = zip(("--slide-k", "--slide-l", "--slide-c"),
+                        usually(draw, st.tuples(st.just(1), st.just(2), st.integers(1, 3)),
+                                st.tuples(index, index, index)))
+            for flag, value in slide:
+                if draw(st.integers(0, 9)):
+                    argv += [flag, value]
+        return [usually(draw, polytope_bodies((2,)), polytope_bodies())], argv
+    if command == "normal-check":
+        argv += ["--max-degree", draw(index)]
+    return [draw(polytope_bodies())], argv
+
+
+@st.composite
+def slide_requests(draw):
+    """slide, semigroup, okounkov or saturation by flags or by one request
+    file, usually in dimension 2 or 3; k, l, c and the levels usually
+    valid, else drawn from -1..3."""
+    command = draw(st.sampled_from(("slide", "semigroup", "okounkov", "saturation")))
+    body = usually(draw, polytope_bodies((2, 3)), polytope_bodies())
+    pairs = ((1, 2), (1, 3), (2, 3)) if body["dim"] >= 3 else ((1, 2),)
+    k, l = usually(draw, st.sampled_from(pairs), st.tuples(index, index))
+    fields = {"k": k, "l": l, "c": usually(draw, st.integers(1, 3), index)}
+    if command != "slide":
+        fields["max_level"] = usually(draw, st.integers(1, 3), index)
+    argv = [command]
+    if command == "okounkov" and draw(st.booleans()):
+        argv += ["--level", usually(draw, st.integers(1, 3), index)]
+    if draw(st.booleans()):
+        return [dict(fields, polytope=body)], argv + ["--request", "{in0}"]
+    for name, value in fields.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    return [body], argv + ["--polytope", "{in0}"]
+
+
+def rational_list(draw, size, entries=small):
+    """size comma separated rationals; one list in five has another size or
+    another entry, and one in ten is malformed."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(("", "1,,2", "x", "1/0", "2.5")))
+    values = usually(draw, st.lists(entries, min_size=size, max_size=size),
+                     st.lists(small, min_size=1, max_size=5))
+    return ",".join(map(str, values))
+
+
+@st.composite
+def formula_requests(draw):
+    """gw-formula for every family, usually at a valid rank and with as many
+    weight coordinates as the family needs, else at rank -1..4; or
+    hirzebruch on entries in -3..3, usually with two positive lengths per
+    side.  A flag value may start with a minus sign, so it is joined by =."""
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(sorted(gromov.FAMILIES)))
+        rank = usually(draw, st.just(2) if family == "G2" else st.integers(1, 4),
+                       st.integers(-1, 4))
+        size = 3 if family == "G2" else max(rank, 1)
+        return [], ["gw-formula", "--family", family, "--rank", rank,
+                    "--lambda=" + rational_list(draw, size)]
+    entry = st.integers(-3, 3)
+    length = st.fractions(Fraction(1, 2), 6, max_denominator=2)
+    return [], ["hirzebruch", "--a", draw(entry), "--lam=" + rational_list(draw, 2, length),
+                "--a-tilde", draw(entry), "--lam-tilde=" + rational_list(draw, 2, length)]
+
+
+@st.composite
+def bott_reduce_requests(draw):
+    """bott-reduce of up to 4 monomials on a tower with n <= 4: keys of up
+    to 5 indices in 1..n and small rational coefficients, one class in five
+    also with indices in 0..n+1, malformed keys and float coefficients, and
+    one class file in ten without its 'monomials' field."""
+    tower = draw(bott_towers(4))
+    n = tower["n"]
+    flawed = draw(st.integers(0, 4)) == 0
+    indices = st.integers(0, n + 1) if flawed else st.integers(1, n)
+    key = st.lists(indices, max_size=5).map(lambda ix: ",".join(map(str, ix)))
+    coeff = st.integers(-3, 3) | small.map(str)
+    if flawed:
+        key |= st.just("x")
+        coeff |= st.just(2.5)
+    monomials = draw(st.dictionaries(key, coeff, max_size=4))
+    klass = {"monomials": monomials} if draw(st.integers(0, 9)) else monomials
+    return [tower, klass], ["bott-reduce", "--bott", "{in0}", "--class", "{in1}"]
+
+
+@st.composite
+def cli_requests(draw):
+    """A request for one of the 16 subcommands; one in ten also asks for the
+    report in a directory that does not exist."""
+    bodies, argv = draw(st.one_of(
+        verify_move_requests(), gw_simplex_requests(), bott_requests(),
+        polytope_requests(), slide_requests(), formula_requests(),
+        bott_reduce_requests()))
+    if draw(st.integers(0, 9)) == 0:
+        argv = argv + ["--output", "{tmp}/missing/report.json"]
+    return bodies, argv
+
+
+@settings(max_examples=1200, deadline=None, derandomize=True, database=None)
+@given(cli_requests())
 def test_cli_exit_codes(request):
     """Every request ends in exit 0 with a JSON report, or in exit 2, 3 or 4
     with one JSON error object on stderr: never a raw traceback.  The input
-    files follow a flag, or stand as positional arguments without one."""
-    bodies, flag, argv = request
+    files follow a flag, or stand as positional arguments without one; a
+    report or SVG asked for in a missing directory is a schema error."""
+    bodies, argv = request
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, f"in{i}.json") for i in range(len(bodies))]
-        for path, body in zip(paths, bodies):
-            with open(path, "w", encoding="utf-8") as fh:
+        names = {"{tmp}": tmp}
+        for i, body in enumerate(bodies):
+            names[f"{{in{i}}}"] = os.path.join(tmp, f"in{i}.json")
+            with open(names[f"{{in{i}}}"], "w", encoding="utf-8") as fh:
                 json.dump(body, fh)
+        args = [str(x) for x in argv]
+        for name, value in names.items():
+            args = [x.replace(name, value) for x in args]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(x) for x in argv] + (paths if flag is None else [flag] + paths))
+            code = main(args)
+    if "--output" in args:
+        assert code != 0
     if code == 0:
         assert json.loads(out.getvalue()) and not err.getvalue()
     else:
