@@ -356,7 +356,8 @@ def permutation_move(b: BottData, perm) -> Move:
     """Relabel coordinates by perm (0-based image list).
 
     Only permutations with perm[i] < perm[j] on every nonzero A^i_j are
-    legal, so the image stays strictly upper triangular.
+    legal, so the image stays strictly upper triangular; its lengths are
+    those of b, permuted, so the image is built without a second check.
     """
     n = b.n
     rows = [[0] * n for _ in range(n)]
@@ -368,7 +369,7 @@ def permutation_move(b: BottData, perm) -> Move:
                 if perm[i] >= perm[j]:
                     raise MoveError("permutation breaks upper triangularity")
                 rows[perm[i]][perm[j]] = b.a[i][j]
-    data = BottData.make(rows, lam)
+    data = BottData(n, tuple(map(tuple, rows)), tuple(lam))
     m = [[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]
     f = RingMap(CohRing.of(b), CohRing.of(data), m)
     return Move("permute", tuple(perm), data, f, True)
@@ -524,32 +525,6 @@ def decide_symplectomorphic(b1: BottData, b2: BottData) -> Decision:
     return Decision(True, "standard forms agree", ring_map=f,
                     lam_matrix=linalg.identity(n), sigma=tuple(range(1, n + 1)),
                     standard=(s1, s2))
-
-
-def hirzebruch_classify(a12, lam, a12_t, lam_t) -> bool:
-    """Dimension-2 classification: twist parity plus width and area.
-
-    The invariant pair (lam_1, lam_2 - a/2 * lam_1) carries the lattice
-    width (its minimum) and the area (its product) of the trapezoid.  In the
-    even class the two rulings of the untwisted model can be swapped, so the
-    pair compares as a multiset; in the odd class the terminal generator is
-    distinguished (it is the unique square-zero class mod 2), so the pair
-    compares in order.  On width-normalized data both readings reduce to the
-    plain coordinate comparison.
-    """
-    lam = tuple(Fraction(x) for x in lam)
-    lam_t = tuple(Fraction(x) for x in lam_t)
-    b1 = BottData.make(((0, a12), (0, 0)), lam)
-    b2 = BottData.make(((0, a12_t), (0, 0)), lam_t)
-    if not (is_hypercube(b1) and is_hypercube(b2)):
-        raise MoveError("classification requires combinatorial-hypercube data")
-    if (a12 - a12_t) % 2:
-        return False
-    pair = (lam[0], lam[1] - Fraction(a12, 2) * lam[0])
-    pair_t = (lam_t[0], lam_t[1] - Fraction(a12_t, 2) * lam_t[0])
-    if a12 % 2 == 0:
-        return sorted(pair) == sorted(pair_t)
-    return pair == pair_t
 
 
 @dataclass(frozen=True)

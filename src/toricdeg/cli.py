@@ -127,11 +127,7 @@ def _slide_request(args):
             raise SchemaError("need --k, --l and --c (or a --request file)")
         p = _load_polytope_arg(args.polytope)
         k, l, c = args.k, args.l, args.c
-    try:
-        d = valuation.SlideDirection(k, l, c)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    return p, d
+    return p, valuation.SlideDirection(k, l, c)
 
 
 def cmd_slide(args):
@@ -164,17 +160,13 @@ def cmd_semigroup(args):
         all(bodies[level + 1].contains(v) for v in bodies[level].vertex_set())
         for level in range(1, m))
     saturated, witness = valuation.check_saturation(sg)
+    # level 1 is a set of lattice points, so its hull is integral
     delta1 = bodies[1]
-    cone_report = {"delta": jsonio.dump_polytope(delta1)}
-    if delta1.is_integral():
-        cone_ok, cert = valuation.check_cone_condition(sg, delta1)
-        cone_report["holds"] = cone_ok
-        if not cone_ok:
-            level, pt, kind = cert
-            cone_report["certificate"] = {"level": level, "point": list(pt), "kind": kind}
-    else:
-        cone_report["holds"] = None
-        cone_report["note"] = "level-1 hull is not integral"
+    cone_ok, cert = valuation.check_cone_condition(sg, delta1)
+    cone_report = {"delta": jsonio.dump_polytope(delta1), "holds": cone_ok}
+    if not cone_ok:
+        level, pt, kind = cert
+        cone_report["certificate"] = {"level": level, "point": list(pt), "kind": kind}
     report = {
         "summary": (f"{m} levels; saturated within budget: {saturated}; "
                     f"cone condition on the level-1 hull: {cone_report['holds']}"),
@@ -220,10 +212,7 @@ def cmd_gw_formula(args):
     # For family A the CLI rank counts weight coordinates (the unitary group
     # size), so rank r maps to the abstract system A_{r-1}.
     rank = args.rank - 1 if args.family == "A" else args.rank
-    try:
-        spec = gromov.RootSystemSpec(args.family, rank)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    spec = gromov.RootSystemSpec(args.family, rank)
     lam = _parse_lambda(args.weight)
     if len(lam) != spec.ambient_dim:
         raise SchemaError(
@@ -336,7 +325,9 @@ def cmd_hirzebruch(args):
     lam_t = _parse_lambda(args.lam_tilde)
     if len(lam) != 2 or len(lam_t) != 2:
         raise SchemaError("hirzebruch classification needs two lengths per side")
-    verdict = bott.hirzebruch_classify(args.a, lam, args.a_tilde, lam_t)
+    b1 = bott.BottData.make(((0, args.a), (0, 0)), lam)
+    b2 = bott.BottData.make(((0, args.a_tilde), (0, 0)), lam_t)
+    verdict = bott.decide_symplectomorphic(b1, b2).yes
     return {"summary": f"symplectomorphic: {verdict}", "symplectomorphic": verdict}
 
 

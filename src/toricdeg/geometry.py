@@ -190,8 +190,14 @@ class HPolytope:
 
     @staticmethod
     def from_inequalities(dim, rows):
-        """Rows [a_1..a_n, b] meaning sum(a_i p_i) <= b."""
-        half = [HalfSpace.make(tuple(r[:-1]), r[-1]) for r in rows]
+        """Rows [a_1..a_n, b] meaning sum(a_i p_i) <= b.  A row with a zero
+        normal holds everywhere (b >= 0) and is dropped, or nowhere."""
+        half = []
+        for i, r in enumerate(rows, 1):
+            if any(r[:-1]):
+                half.append(HalfSpace.make(tuple(r[:-1]), r[-1]))
+            elif r[-1] < 0:
+                raise EmptyPolytopeError(f"inequality {i} reads 0 <= {r[-1]}")
         return HPolytope(dim, half)
 
     def _key(self):

@@ -119,8 +119,6 @@ def coroots(spec: RootSystemSpec):
                 v = [0] * n
                 v[i] = s
                 axes.append(tuple(v))
-    if fam == "D" and n < 2:
-        raise ValueError("family D needs rank >= 2")
     return sorted(pairs + axes)
 
 

@@ -44,11 +44,6 @@ def render_svg(polytopes, point_sets, path, highlights=None):
     lattice point iterables (may be empty); highlights: parallel list of
     point subsets drawn emphasized, or None.
     """
-    if not isinstance(polytopes, (list, tuple)):
-        polytopes = [polytopes]
-        point_sets = [point_sets]
-        if highlights is not None:
-            highlights = [highlights]
     if highlights is None:
         highlights = [None] * len(polytopes)
     panels = []

@@ -21,6 +21,8 @@ geometric test that preceded the fibration criterion and the vertex growth
 that preceded its prefix-minimum closed form; the standard-form oracle
 standardizes through the checked public moves and composes one matrix
 product per step, where the library shifts generators directly.  The
+Hirzebruch oracle decides dimension 2 by the twist-parity, width and area
+criterion, where the library runs the general standard-form decision.  The
 affine image and the emptiness test are the polytope methods nothing in
 the library called.  The q-triviality, exceptional-type, composition and
 ring-map oracles multiply ring classes through the general normal form,
@@ -59,6 +61,7 @@ from toricdeg.bott import (
     elementary_move,
     exceptional_type,
     flip,
+    is_hypercube,
     parametrized_move,
     permutation_move,
 )
@@ -559,6 +562,31 @@ def standard_form_oracle(b: BottData) -> StandardForm:
     partition = tuple(blk[0] for blk in blocks)
     lam_out = tuple(x / scale for x in current.lam)
     return StandardForm(partition, lam_out, current, tuple(trace), composed, scale)
+
+
+def hirzebruch_oracle(a12, lam, a12_t, lam_t) -> bool:
+    """Dimension-2 classification: twist parity plus width and area.
+
+    The invariant pair (lam_1, lam_2 - a/2 * lam_1) carries the lattice
+    width (its minimum) and the area (its product) of the trapezoid.  In the
+    even class the two rulings of the untwisted model can be swapped, so the
+    pair compares as a multiset; in the odd class the terminal generator is
+    distinguished (it is the unique square-zero class mod 2), so the pair
+    compares in order.
+    """
+    lam = tuple(Fraction(x) for x in lam)
+    lam_t = tuple(Fraction(x) for x in lam_t)
+    b1 = BottData.make(((0, a12), (0, 0)), lam)
+    b2 = BottData.make(((0, a12_t), (0, 0)), lam_t)
+    if not (is_hypercube(b1) and is_hypercube(b2)):
+        raise MoveError("classification requires combinatorial-hypercube data")
+    if (a12 - a12_t) % 2:
+        return False
+    pair = (lam[0], lam[1] - Fraction(a12, 2) * lam[0])
+    pair_t = (lam_t[0], lam_t[1] - Fraction(a12_t, 2) * lam_t[0])
+    if a12 % 2 == 0:
+        return sorted(pair) == sorted(pair_t)
+    return pair == pair_t
 
 
 def reduce_exponents_oracle(a, exp):

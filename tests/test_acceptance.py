@@ -17,7 +17,6 @@ from toricdeg.bott import (
     CohRing,
     bott_polytope,
     decide_symplectomorphic,
-    hirzebruch_classify,
     is_hypercube,
     standard_form,
     verify_degeneration_move,
@@ -44,7 +43,13 @@ from conftest import (
     scramble_bott,
     unit_box,
 )
-from oracles import affine_unimodular_image, apply, omega_class, special_elements
+from oracles import (
+    affine_unimodular_image,
+    apply,
+    hirzebruch_oracle,
+    omega_class,
+    special_elements,
+)
 from test_gromov import oracle_best_a
 
 
@@ -267,7 +272,7 @@ def test_criterion_9_hirzebruch_consistency():
     agree_yes = agree_no = 0
     for b1 in sample[:15]:
         for b2 in sample[15:]:
-            expected = hirzebruch_classify(b1.a[0][1], b1.lam, b2.a[0][1], b2.lam)
+            expected = hirzebruch_oracle(b1.a[0][1], b1.lam, b2.a[0][1], b2.lam)
             got = decide_symplectomorphic(b1, b2).yes
             assert got == expected
             agree_yes += got

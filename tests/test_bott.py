@@ -14,7 +14,6 @@ from toricdeg.bott import (
     elementary_move,
     exceptional_type,
     flip,
-    hirzebruch_classify,
     is_hypercube,
     is_q_trivial,
     parametrized_move,
@@ -38,6 +37,7 @@ from oracles import (
     CohClass,
     affine_unimodular_image,
     apply,
+    hirzebruch_oracle,
     images,
     is_hypercube_oracle,
     is_normal_oracle,
@@ -716,9 +716,11 @@ class TestDecision:
 
 class TestHirzebruchClassify:
     def test_spec_triples(self):
-        assert hirzebruch_classify(0, (1, 3), 4, (1, 5))
-        assert not hirzebruch_classify(0, (1, 3), 1, (1, 3))
-        assert hirzebruch_classify(2, (1, 5), 2, (1, 5))
+        for a, lam, a_t, lam_t, verdict in ((0, (1, 3), 4, (1, 5), True),
+                                            (0, (1, 3), 1, (1, 3), False),
+                                            (2, (1, 5), 2, (1, 5), True)):
+            assert hirzebruch_oracle(a, lam, a_t, lam_t) == verdict
+            assert decide_symplectomorphic(hirz(a, lam), hirz(a_t, lam_t)).yes == verdict
 
     def test_consistency_with_decision(self, rng):
         instances = []
@@ -731,8 +733,26 @@ class TestHirzebruchClassify:
         sample = rng.sample(instances, 12)
         for b1 in sample[:6]:
             for b2 in sample[6:]:
-                expected = hirzebruch_classify(b1.a[0][1], b1.lam, b2.a[0][1], b2.lam)
+                expected = hirzebruch_oracle(b1.a[0][1], b1.lam, b2.a[0][1], b2.lam)
                 assert decide_symplectomorphic(b1, b2).yes == expected
+
+    def test_odd_twists_agree_with_oracle(self):
+        # every twist in -3..3, odd ones included, against every other; a
+        # collapsed trapezoid on either side raises MoveError in both
+        sides = [(a, (l1, l2)) for a in range(-3, 4)
+                 for l1 in (1, 2, Fraction(1, 2)) for l2 in (1, 2, 3, 5, Fraction(3, 2))]
+        odd_yes = 0
+        for a, lam in sides:
+            for a_t, lam_t in sides:
+                try:
+                    expected = hirzebruch_oracle(a, lam, a_t, lam_t)
+                except MoveError:
+                    with pytest.raises(MoveError):
+                        decide_symplectomorphic(hirz(a, lam), hirz(a_t, lam_t))
+                    continue
+                assert decide_symplectomorphic(hirz(a, lam), hirz(a_t, lam_t)).yes == expected
+                odd_yes += expected and a % 2 == 1
+        assert odd_yes == 91
 
 
 class TestVerifyMove:

@@ -116,6 +116,14 @@ class TestCommands:
         assert code == 0
         assert rep["symplectomorphic"] is True
 
+    def test_zero_normal_row_holds_everywhere(self, tmp_path, capsys):
+        square = write(tmp_path, "a.json", SQUARE2)
+        padded = write(tmp_path, "b.json", dict(
+            SQUARE2, inequalities=SQUARE2["inequalities"] + [[0, 0, 2]]))
+        code, rep = run(capsys, ["vertices", "--polytope", square])
+        assert code == 0
+        assert run(capsys, ["vertices", "--polytope", padded]) == (0, rep)
+
     def test_bott_reduce(self, tmp_path, capsys):
         cls = {"monomials": {"1,1": 1}}
         code, rep = run(capsys, ["bott-reduce", "--bott",
@@ -267,6 +275,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "MoveError",
                                             "message": "need 1 <= k < l <= n"}
+
+    def test_zero_normal_row_fails_everywhere(self, tmp_path, capsys):
+        p = write(tmp_path, "p.json", dict(
+            SQUARE2, inequalities=SQUARE2["inequalities"] + [[0, 0, -1]]))
+        code = main(["vertices", "--polytope", p])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "EmptyPolytopeError",
+                                            "message": "inequality 5 reads 0 <= -1"}
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["hirzebruch", "--a", "2", "--lam", "1,2", "--a-tilde", "0", "--lam-tilde", "1,2"],
+         3, {"error": "MoveError",
+             "message": "decision requires combinatorial-hypercube data"}),
+        (["hirzebruch", "--a", "0", "--lam", "0,2", "--a-tilde", "0", "--lam-tilde", "1,2"],
+         2, {"error": "schema", "message": "lengths must be positive"}),
+        (["gw-formula", "--family", "G2", "--rank", "3", "--lambda", "1,0,-1"],
+         2, {"error": "schema", "message": "G2 has rank 2"}),
+        (["slide", "--polytope", "{square}", "--k", "2", "--l", "1", "--c", "1"],
+         2, {"error": "schema", "message": "need 1 <= k < l"})])
+    def test_argument_errors(self, tmp_path, capsys, argv, code, err):
+        # argument-contract violations inside the library reach main as
+        # ValueError (exit 2) or as a domain error (exit 3), never wrapped
+        square = write(tmp_path, "p.json", SQUARE2)
+        assert main([x.replace("{square}", square) for x in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == err
 
     def test_float_rejected(self, tmp_path, capsys):
         bad = write(tmp_path, "f.json",

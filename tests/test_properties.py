@@ -276,8 +276,9 @@ def usually(draw, good, other):
 def polytope_bodies(draw, dims=(1, 2, 3)):
     """A polytope file: a box [0, a] (smooth, at the origin corner), or up
     to 6 vertices or rows with small rational entries, so that unbounded,
-    empty, flat and non-integral ones occur; one in ten declares the wrong
-    dim."""
+    empty, flat and non-integral ones occur; one row in ten has a zero
+    normal and a bound of either sign, and one file in ten declares the
+    wrong dim."""
     dim = draw(st.sampled_from(dims))
     kind = draw(st.sampled_from(("box", "vertices", "inequalities")))
     if kind == "box":
@@ -289,7 +290,11 @@ def polytope_bodies(draw, dims=(1, 2, 3)):
     else:
         width = dim if kind == "vertices" else dim + 1
         entries = st.lists(small.map(str), min_size=width, max_size=width)
-        body = {"dim": dim, kind: draw(st.lists(entries, min_size=1, max_size=6))}
+        rows = draw(st.lists(entries, min_size=1, max_size=6))
+        if kind == "inequalities":
+            rows = [[0] * dim + [row[-1]] if draw(st.integers(0, 9)) == 0 else row
+                    for row in rows]
+        body = {"dim": dim, kind: rows}
     if draw(st.integers(0, 9)) == 0:
         body["dim"] = dim + 1
     return body

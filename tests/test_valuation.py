@@ -297,6 +297,19 @@ class TestOkounkov:
         body = okounkov_approx(sg, 1)
         assert ((5, 1), Fraction(7)) in {(h.normal, h.rhs) for h in body.halfspaces}
 
+    def test_level_one_body_is_integral(self):
+        # level 1 is a set of lattice points, so its hull has lattice
+        # vertices; semigroup tests the cone condition on it unchecked
+        rng = random.Random(6203)
+        for c in (1, 2, 3):
+            for _ in range(3):
+                sg = build_semigroup(random_smooth_polytope(rng, 2), SlideDirection(1, 2, c), 1)
+                assert okounkov_approx(sg, 1).is_integral()
+            k = rng.randint(1, 2)
+            box = unit_box([rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2)])
+            sg = build_semigroup(box, SlideDirection(k, rng.randint(k + 1, 3), c), 1)
+            assert okounkov_approx(sg, 1).is_integral()
+
     def test_level_range(self):
         sg = build_semigroup(RECT, D12, 1)
         with pytest.raises(ValueError):
