@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import bott, geometry, gromov, jsonio, svg, valuation
-from .errors import SchemaError, ToricDegError
+from .errors import EmptyPolytopeError, SchemaError, ToricDegError
 
 DEFAULT_MAX_LEVEL = 6
 
@@ -134,6 +134,8 @@ def cmd_slide(args):
     p, d = _slide_request(args)
     pts = geometry.lattice_points(p)
     image = valuation.slide(pts, d)
+    if not image.points:
+        raise EmptyPolytopeError("polytope has no lattice points to slide")
     moved = len(image.as_set() - pts.as_set())
     return {
         "summary": f"{len(pts)} points slid, {moved} moved",
@@ -341,6 +343,8 @@ def cmd_render(args):
             raise SchemaError("--slide-k needs --slide-l and --slide-c")
         d = valuation.SlideDirection(args.slide_k, args.slide_l, args.slide_c)
         image = valuation.slide(points[0], d)
+        if not image.points:
+            raise EmptyPolytopeError("polytope has no lattice points to slide")
         moved = sorted(image.as_set() - points[0].as_set())
         panels.append(geometry.hull(image))
         points.append(image)

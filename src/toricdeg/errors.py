@@ -43,14 +43,6 @@ class OriginCornerError(ToricDegError):
     """Polytope lacks the origin vertex or leaves the nonnegative orthant."""
 
 
-class DependentBasisError(ToricDegError):
-    """Valuation image requested for a linearly dependent family."""
-
-
-class ZeroPolynomialError(ToricDegError):
-    """Valuation of the zero polynomial is undefined."""
-
-
 class ZeroOrbitError(ToricDegError):
     """Weight pairs to zero with every coroot."""
 

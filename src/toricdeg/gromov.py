@@ -12,8 +12,9 @@ the set of its columns, so the search scans column sets, C((2b+1)^n, n)
 determinants at entry bound b, and groups them by load vector.  By LP
 duality each group's optimum is the least ratio (b.r) / (c.r) over the
 extreme rays r of one cone per polytope, found once by the double
-description kernel; one Fourier-Motzkin solve on the winning group gives
-the witness x.
+description kernel.  At the winning value a* the optimal translations are
+the polytope with each facet moved in by a* times its load, the optimal
+face of the LP; the witness x is its lex-least vertex, from the same kernel.
 
 Openness is harmless here: a closed convex set contains Psi(int S(a)) + x
 exactly when it contains the closed simplex vertices, so the fit test works
@@ -30,7 +31,14 @@ from math import comb, lcm
 from operator import mul
 
 from . import linalg
-from .errors import LowerDimensionalError, UnboundedError, WorkLimitError, ZeroOrbitError
+from .errors import (
+    EmptyPolytopeError,
+    InternalError,
+    LowerDimensionalError,
+    UnboundedError,
+    WorkLimitError,
+    ZeroOrbitError,
+)
 from .geometry import HalfSpace, HPolytope, _extreme_rays, frac_vec
 
 FAMILIES = ("A", "B", "C", "D", "G2")
@@ -136,27 +144,6 @@ def gw_formula(spec: RootSystemSpec, lam) -> Fraction:
     if not values:
         raise ZeroOrbitError("zero orbit")
     return min(values)
-
-
-def simplex(n: int, a) -> tuple:
-    """Closed hull of the size-a corner simplex, plus per-facet openness.
-
-    Returns (polytope, flags) with flags[i] True when the i-th halfspace of
-    the canonical form is open in the half-open simplex (only the diagonal
-    facet sum x_j <= a is).
-    """
-    a = Fraction(a)
-    if a <= 0:
-        raise ValueError("size must be positive")
-    items = []
-    for i in range(n):
-        normal = tuple(-1 if j == i else 0 for j in range(n))
-        items.append((HalfSpace(normal, Fraction(0)), False))
-    items.append((HalfSpace((1,) * n, a), True))
-    items.sort(key=lambda it: (it[0].normal, it[0].rhs))
-    poly = HPolytope(n, [h for h, _ in items])
-    flags = tuple(f for _, f in items)
-    return poly, flags
 
 
 def simplex_vertices(n: int, a):
@@ -269,18 +256,21 @@ def _fit_value(delta: HPolytope):
     return value
 
 
-def _best_fit(delta: HPolytope, loads, psi):
-    """Exact LP in (a, x): maximize a with all mapped vertices inside delta.
+def _best_fit(delta: HPolytope, a, loads, psi):
+    """The certificate for psi at its fit value a.
 
     Per facet u, the binding requirement over the simplex vertices collapses
-    to u.x + a * load_u <= rhs, which Fourier-Motzkin solves exactly; the
-    witness x is the lex-least optimum.
+    to u.x + a * load_u <= rhs, so the optimal translations form the face
+    {x : u.x <= rhs - a * load_u}, bounded because delta is.  The witness x
+    is its lex-least point, a vertex, so the first of its sorted vertices.
     """
-    n = delta.dim
-    rows = [((c,) + tuple(h.normal), h.rhs) for c, h in zip(loads, delta.halfspaces)]
-    rows.append(((-1,) + (0,) * n, Fraction(0)))
-    value, witness = linalg.fm_maximize(rows, n + 1, objective_index=0)
-    return SimplexFit(Fraction(value), psi, tuple(witness[1:]))
+    face = HPolytope(delta.dim, [HalfSpace(h.normal, h.rhs - a * c)
+                                 for c, h in zip(loads, delta.halfspaces)])
+    try:
+        x = face.vertex_set()[0]
+    except EmptyPolytopeError:
+        raise InternalError("optimal face of the simplex fit is empty") from None
+    return SimplexFit(a, psi, x)
 
 
 def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
@@ -292,11 +282,11 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
     determinants (WorkLimitError above MAX_COLUMN_SETS).  The unimodular
     sets fall into groups by facet-load vector; each group's LP value is one
     exact ray ratio (`_fit_value`), the best value wins with ties broken
-    lexicographically on the flattened psi, and one Fourier-Motzkin solve on
-    the winner gives the lex-least witness x.  The result is a valid lower
-    bound for any bound, and grows monotonically with it.  Heuristic mode is
-    a seeded random walk of HEURISTIC_STEPS unimodular row operations that
-    uses the same values and one final Fourier-Motzkin solve; it certifies
+    lexicographically on the flattened psi, and the winner's optimal face
+    gives the lex-least witness x (`_best_fit`).  The result is a valid
+    lower bound for any bound, and grows monotonically with it.  Heuristic
+    mode is a seeded random walk of HEURISTIC_STEPS unimodular row
+    operations that uses the same values and the same witness; it certifies
     whatever it finds but makes no maximality claim.
     """
     if not delta.is_bounded():
@@ -316,7 +306,7 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
         value = _fit_value(delta)
         loads, psi = min(_load_groups(delta, bound).items(),
                          key=lambda g: (-value(g[0]), g[1]))
-        return _best_fit(delta, loads, psi)
+        return _best_fit(delta, value(loads), loads, psi)
     if mode == "heuristic":
         rng = random.Random(seed)
         dots = _FacetDots(delta)
@@ -344,5 +334,5 @@ def best_simplex_lb(delta: HPolytope, bound: int = 3, mode: str = "exhaustive",
                 if a > best_a:
                     best, best_a = cand, a
                 current = cand
-        return _best_fit(delta, _facet_loads(dots, best), best)
+        return _best_fit(delta, best_a, _facet_loads(dots, best), best)
     raise ValueError(f"unknown mode {mode!r}")

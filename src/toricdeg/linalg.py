@@ -7,13 +7,17 @@ that returns the reduced rows, their pivot columns and the determinant of
 the leading square block.  Rank and nullspace read the pivots, `solve` is
 the RREF of [m | rhs], `mat_inverse` the RREF of [m | I], and `mat_det`
 past its 3x3 closed forms is the pivot product (an int for an integer
-matrix).  Fourier-Motzkin elimination gives the simplex search its reported
-witness (`fm_maximize`) and the tests exact feasibility oracles; the
-polytope kernel reads emptiness from its double description instead.
-`primitive_row` scales each input row once to primitive integer
-coefficients; every row that elimination derives is an integer combination
-of such rows, so it is reduced by an integer gcd alone and only its right
-hand side stays a Fraction.
+matrix).  `primitive_row` scales a row to primitive integer coefficients
+for `HalfSpace.make`.
+
+Fourier-Motzkin elimination (`fm_eliminate`, `fm_feasible`, `fm_maximize`)
+has no caller in the library: the polytope kernel reads emptiness, and the
+simplex search its value and witness, from the double description.  It
+stays as the tests' exact LP reference and because the benchmark's span
+tracer wraps `fm_maximize` and `fm_feasible`.  It scales each input row
+once by `primitive_row`; every row that elimination derives is an integer
+combination of such rows, so it is reduced by an integer gcd alone and only
+its right hand side stays a Fraction.
 """
 
 from __future__ import annotations

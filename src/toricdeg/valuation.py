@@ -1,10 +1,11 @@
 """Lowest-term valuations and the lattice point sliding calculus.
 
 A slide direction -e_k + c*e_l encodes the coordinate change u_k = f_k -
-f_l^c at the origin corner of a polytope; the induced valuation image of the
-monomial basis can be computed either symbolically (expand and eliminate) or
-geometrically (slide the lattice points).  Both routes are implemented so one
-can serve as an oracle for the other.
+f_l^c at the origin corner of a polytope.  The valuation image of the
+monomial basis under it is computed geometrically: each line of the
+direction slides its lattice points rigidly to the wall of the nonnegative
+orthant.  The symbolic definition (expand every monomial, eliminate down to
+distinct lowest terms) is the test suite's reference for this route.
 
 The value order is lexicographic with the first coordinate most significant.
 """
@@ -13,17 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from . import geometry
-from .errors import (
-    DependentBasisError,
-    NotIntegralError,
-    NotNormalError,
-    NotSmoothError,
-    OriginCornerError,
-    ZeroPolynomialError,
-)
+from .errors import NotIntegralError, NotNormalError, NotSmoothError, OriginCornerError
 from .geometry import HPolytope, LatticePointSet, dilate, hull
 
 
@@ -32,8 +25,8 @@ class SlideDirection:
     """Direction -e_k + c*e_l with 1 <= k < l <= n and c >= 0.
 
     c = 0 is a meaningful lattice operation (slide straight onto the wall
-    x_k = 0) but not a valid coordinate change, so the symbolic routines
-    reject it.
+    x_k = 0) but not a valid coordinate change, so `build_semigroup`
+    rejects it.
     """
 
     k: int
@@ -45,14 +38,6 @@ class SlideDirection:
             raise ValueError("need 1 <= k < l")
         if self.c < 0:
             raise ValueError("c must be nonnegative")
-
-    def vector(self, dim):
-        if self.l > dim:
-            raise ValueError("direction indices exceed dimension")
-        v = [0] * dim
-        v[self.k - 1] = -1
-        v[self.l - 1] = self.c
-        return tuple(v)
 
     def to_line(self, x):
         """Line coordinates of x: x without x_k, with x_l replaced by
@@ -74,118 +59,6 @@ class SlideDirection:
         """The normal of <a, x> <= b in line coordinates: a without a_k,
         then a_k - c*a_l."""
         return a[:self.k - 1] + a[self.k:] + (a[self.k - 1] - self.c * a[self.l - 1],)
-
-
-class UPolynomial:
-    """Polynomial in the local coordinates, exponents in (Z>=0)^n."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim, terms=None):
-        self.dim = dim
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(int(x) for x in e)] = c
-
-    def is_zero(self):
-        return not self.terms
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) - c
-            if v == 0:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return UPolynomial(self.dim, out)
-
-    def scaled(self, factor):
-        return UPolynomial(self.dim, {e: c * factor for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
-        return UPolynomial(self.dim, out)
-
-    def __eq__(self, other):
-        return isinstance(other, UPolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"UPolynomial({self.terms!r})"
-
-
-def expand_monomial(alpha, d: SlideDirection) -> UPolynomial:
-    """Expansion of f^alpha after substituting f_k = u_k + u_l^c.
-
-    Binomial theorem on the k-th factor; every other coordinate passes
-    through unchanged.
-    """
-    if d.c == 0:
-        raise ValueError("c = 0 is not a coordinate change; use c >= 1")
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be nonnegative")
-    n = len(alpha)
-    if d.l > n:
-        raise ValueError("direction indices exceed dimension")
-    k = d.k - 1
-    l = d.l - 1
-    terms = {}
-    for j in range(alpha[k] + 1):
-        e = list(alpha)
-        e[k] = j
-        e[l] = alpha[l] + d.c * (alpha[k] - j)
-        terms[tuple(e)] = Fraction(comb(alpha[k], j))
-    return UPolynomial(n, terms)
-
-
-def lowest_term(p: UPolynomial):
-    """Lexicographically minimal exponent among nonzero terms."""
-    if p.is_zero():
-        raise ZeroPolynomialError("valuation of zero undefined")
-    return min(p.terms)
-
-
-def valuation_image(basis) -> LatticePointSet:
-    """Valuation values over the span of a linearly independent family.
-
-    Staged elimination: while two elements share a lowest term, cancel the
-    later one against the earliest-staged representative, which strictly
-    raises its value.  Supports only shrink inside a fixed finite set, so
-    this terminates with exactly len(basis) values.
-    """
-    polys = [UPolynomial(p.dim, p.terms) for p in basis]
-    if not polys:
-        raise ValueError("empty basis")
-    dim = polys[0].dim
-    reps = {}
-    work = sorted(polys, key=lowest_term)
-    while work:
-        work.sort(key=lowest_term)
-        p = work.pop(0)
-        v = lowest_term(p)
-        q = reps.get(v)
-        if q is None:
-            reps[v] = p
-            continue
-        p = p - q.scaled(p.terms[v] / q.terms[v])
-        if p.is_zero():
-            raise DependentBasisError("family is linearly dependent")
-        work.append(p)
-    if len(reps) != len(polys):
-        raise DependentBasisError("family is linearly dependent")
-    return LatticePointSet.make(dim, reps)
 
 
 def slide(s: LatticePointSet, d: SlideDirection) -> LatticePointSet:

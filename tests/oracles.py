@@ -11,7 +11,9 @@ degree up to the bound, the fibres of the last coordinate from a scan of
 every prefix of the box that meets every row in turn, Delzant smoothness
 from edges found by a scan of every vertex pair, the additivity of
 semigroup levels from every point pair, and the slide from a rebuilt,
-re-counted point set.  Move
+re-counted point set.  The symbolic valuation route is the definition the
+slide computes: expand every monomial under the coordinate change and
+eliminate until the lowest terms are distinct.  Move
 verification compares each level as two point sets, the slid lattice
 points of the source and those of the target, where the library compares
 one fibre per slide line.  The move and facet-swap oracles write the
@@ -32,9 +34,10 @@ since the library's classes are coefficient rows and dicts.  The
 normal-form oracle rewrites the polynomial term by term, with neither memo
 nor degree cut.
 The simplex-search oracle solves one LP per unimodular candidate, found by
-a scan of every bounded-entry matrix, where the library scans column sets,
-values each facet-load vector by a dual-ray ratio and solves one LP; the
-elimination oracle normalizes every derived row through the Fraction
+a scan of every bounded-entry matrix, by Fourier-Motzkin elimination,
+where the library scans column sets, values each facet-load vector by a
+dual-ray ratio and takes the witness from the vertices of the optimal face;
+the elimination oracle normalizes every derived row through the Fraction
 lcm path.  The linear algebra oracles are the eliminations `linalg.rref`
 replaced: a forward-elimination determinant, Cramer's rule and Gauss-Jordan
 solves, a per-column inverse, the primitive vector scaling `HalfSpace.make`
@@ -45,7 +48,7 @@ most of them are exponential in the dimension.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, comb, floor, gcd
 from unittest import mock
 
 from toricdeg import linalg
@@ -70,6 +73,7 @@ from toricdeg.errors import (
     InternalError,
     LowerDimensionalError,
     MoveError,
+    ToricDegError,
     UnboundedError,
 )
 from toricdeg.geometry import (
@@ -355,6 +359,126 @@ def slide_oracle(s: LatticePointSet, d: SlideDirection) -> LatticePointSet:
     if len(result) != len(s):
         raise AssertionError("slide must preserve cardinality")
     return result
+
+
+class DependentBasisError(ToricDegError):
+    """Valuation image requested for a linearly dependent family."""
+
+
+class ZeroPolynomialError(ToricDegError):
+    """Valuation of the zero polynomial is undefined."""
+
+
+class UPolynomial:
+    """Polynomial in the local coordinates, exponents in (Z>=0)^n."""
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim, terms=None):
+        self.dim = dim
+        self.terms = {}
+        if terms:
+            for e, c in terms.items():
+                c = Fraction(c)
+                if c != 0:
+                    self.terms[tuple(int(x) for x in e)] = c
+
+    def is_zero(self):
+        return not self.terms
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            v = out.get(e, Fraction(0)) - c
+            if v == 0:
+                out.pop(e, None)
+            else:
+                out[e] = v
+        return UPolynomial(self.dim, out)
+
+    def scaled(self, factor):
+        return UPolynomial(self.dim, {e: c * factor for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                v = out.get(e, Fraction(0)) + c1 * c2
+                if v == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = v
+        return UPolynomial(self.dim, out)
+
+    def __eq__(self, other):
+        return isinstance(other, UPolynomial) and self.terms == other.terms
+
+    def __repr__(self):
+        return f"UPolynomial({self.terms!r})"
+
+
+def expand_monomial(alpha, d: SlideDirection) -> UPolynomial:
+    """Expansion of f^alpha after substituting f_k = u_k + u_l^c.
+
+    Binomial theorem on the k-th factor; every other coordinate passes
+    through unchanged.
+    """
+    if d.c == 0:
+        raise ValueError("c = 0 is not a coordinate change; use c >= 1")
+    alpha = tuple(int(a) for a in alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError("exponents must be nonnegative")
+    n = len(alpha)
+    if d.l > n:
+        raise ValueError("direction indices exceed dimension")
+    k = d.k - 1
+    l = d.l - 1
+    terms = {}
+    for j in range(alpha[k] + 1):
+        e = list(alpha)
+        e[k] = j
+        e[l] = alpha[l] + d.c * (alpha[k] - j)
+        terms[tuple(e)] = Fraction(comb(alpha[k], j))
+    return UPolynomial(n, terms)
+
+
+def lowest_term(p: UPolynomial):
+    """Lexicographically minimal exponent among nonzero terms."""
+    if p.is_zero():
+        raise ZeroPolynomialError("valuation of zero undefined")
+    return min(p.terms)
+
+
+def valuation_image(basis) -> LatticePointSet:
+    """Valuation values over the span of a linearly independent family.
+
+    Staged elimination: while two elements share a lowest term, cancel the
+    later one against the earliest-staged representative, which strictly
+    raises its value.  Supports only shrink inside a fixed finite set, so
+    this terminates with exactly len(basis) values.
+    """
+    polys = [UPolynomial(p.dim, p.terms) for p in basis]
+    if not polys:
+        raise ValueError("empty basis")
+    dim = polys[0].dim
+    reps = {}
+    work = sorted(polys, key=lowest_term)
+    while work:
+        work.sort(key=lowest_term)
+        p = work.pop(0)
+        v = lowest_term(p)
+        q = reps.get(v)
+        if q is None:
+            reps[v] = p
+            continue
+        p = p - q.scaled(p.terms[v] / q.terms[v])
+        if p.is_zero():
+            raise DependentBasisError("family is linearly dependent")
+        work.append(p)
+    if len(reps) != len(polys):
+        raise DependentBasisError("family is linearly dependent")
+    return LatticePointSet.make(dim, reps)
 
 
 def level_verdicts_oracle(small: HPolytope, big: HPolytope, d: SlideDirection,

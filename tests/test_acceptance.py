@@ -29,9 +29,9 @@ from toricdeg.valuation import (
     build_semigroup,
     check_cone_condition,
     check_saturation,
-    expand_monomial,
+    line_coordinates,
     slide,
-    valuation_image,
+    slide_level,
 )
 
 from conftest import (
@@ -46,9 +46,11 @@ from conftest import (
 from oracles import (
     affine_unimodular_image,
     apply,
+    expand_monomial,
     hirzebruch_oracle,
     omega_class,
     special_elements,
+    valuation_image,
 )
 from test_gromov import oracle_best_a
 
@@ -87,12 +89,12 @@ def test_criterion_1_sliding_lemma_oracle_equivalence():
     corpus = _sliding_corpus(rng, 50)
     for p, d in corpus:
         pts = lattice_points(p)
-        geometric = slide(pts, d)
         symbolic = valuation_image([expand_monomial(a, d) for a in pts])
-        assert geometric == symbolic, (p, d)
-        assert len(geometric) == len(pts)
-    report(1, f"slide equals elimination image on {len(corpus)} random "
-              "smooth polytopes, exact set equality")
+        assert slide(pts, d) == symbolic, (p, d)
+        assert slide_level(line_coordinates(p, d), d, 1) == symbolic, (p, d)
+        assert len(symbolic) == len(pts)
+    report(1, "point and fibre slides equal the elimination image on "
+              f"{len(corpus)} random smooth polytopes, exact set equality")
 
 
 def test_criterion_2_rectangle_degeneration_reproduction():

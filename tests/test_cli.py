@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from toricdeg import bott, cli, linalg
+from toricdeg import bott, cli, gromov
 from toricdeg.cli import main
 
 RECT = {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 3], [0, 3]]}
@@ -340,21 +340,44 @@ class TestExitCodes:
             "message": "nonzero row must stay exceptional during standardization"}
 
     def test_unbounded_lp_is_internal(self, tmp_path, capsys, monkeypatch):
-        # the simplex search only maximizes over bounded regions; an
-        # unbounded objective is a broken invariant, not malformed input
-        maximize = linalg.fm_maximize
+        # a fit value above the LP optimum leaves the optimal face empty; the
+        # witness search reports the broken invariant as internal, not as
+        # the empty-polytope domain error its vertex enumeration raises
+        fit_value = gromov._fit_value
 
-        def without_rows(rows, nvars, objective_index=0):
-            return maximize([], nvars, objective_index)
+        def too_large(delta):
+            value = fit_value(delta)
+            return lambda loads: value(loads) + 1
 
-        monkeypatch.setattr(linalg, "fm_maximize", without_rows)
+        monkeypatch.setattr(gromov, "_fit_value", too_large)
         p = write(tmp_path, "p.json", SQUARE2)
         code = main(["gw-simplex", "--polytope", p, "--bound", "1"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "internal", "message": "objective unbounded above"}
+            "error": "internal", "message": "optimal face of the simplex fit is empty"}
+
+    @pytest.mark.parametrize("argv", [
+        ["slide", "--k", "1", "--l", "2", "--c", "1"],
+        ["render", "--svg", "{svg}", "--slide-k", "1", "--slide-l", "2", "--slide-c", "1"]])
+    def test_slide_without_lattice_points_is_a_domain_error(self, tmp_path, capsys, argv):
+        # 1/3 <= x, y <= 2/3 is well formed and holds no lattice point, so
+        # its slide has no hull: a domain error, not malformed input
+        p = write(tmp_path, "p.json", {"dim": 2, "inequalities": [
+            ["-1", "0", "-1/3"], ["1", "0", "2/3"], ["0", "-1", "-1/3"], ["0", "1", "2/3"]]})
+        assert run(capsys, ["lattice-points", "--polytope", p]) == (0, {
+            "summary": "0 lattice points", "dim": 2, "count": 0, "points": []})
+        svg_path = tmp_path / "slide.svg"
+        code = main([argv[0], "--polytope", p]
+                    + [a.format(svg=svg_path) for a in argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "EmptyPolytopeError",
+            "message": "polytope has no lattice points to slide"}
+        assert not svg_path.exists()
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         p = write(tmp_path, "p.json", RECT)

